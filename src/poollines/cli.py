@@ -15,7 +15,7 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, load_config
 from .drivers import EmptyMeetingPointSet, compute_driver_journeys, select_meeting_points
 from .gtfs import GtfsError, Timetable, parse_gtfs, with_service_date, write_gtfs
-from .injection import InjectionError, inject_poollines
+from .injection import InjectionError, check_poollines_have_journeys, inject_poollines
 from .planner import Planner
 from .reports import recompute_metrics, write_metrics, write_outputs
 from .scenario import Scenario, ScenarioError, generate_scenario, read_agents
@@ -83,6 +83,7 @@ def cmd_simulate(cfg: RunConfig, agents: str | None, out: str | None, variant: s
     augmented = inject_poollines(
         timetable, [journeys[d] for d in sorted(journeys)], cfg.service_date
     )
+    check_poollines_have_journeys(augmented, journeys)
     planner = Planner(augmented, cfg.travel, cfg.max_walk_km, cfg.transfer_s)
 
     if variant == "all":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date as _date
+from typing import Mapping
 
 from .drivers import DriverJourney
 from .gtfs import (
@@ -130,6 +131,22 @@ def build_poolline(journey: DriverJourney, service_id: str = POOL_SERVICE_ID) ->
             GtfsStopTime(trip.trip_id, stop_id, st.arrival, st.departure, sequence)
         )
     return PoolLine(route, trip, new_stops, tuple(stoptimes))
+
+
+def check_poollines_have_journeys(
+    t: Timetable, journeys: Mapping[int, DriverJourney]
+) -> None:
+    """Reject a feed with a poolline trip whose driver has no journey.
+
+    Matching reads a journey for every carpool leg, so such a trip (for
+    instance one the input feed already carried) cannot be simulated.
+    """
+    for trip_id in t.trips:
+        if is_poolline_trip(trip_id) and driver_id_of_trip(trip_id) not in journeys:
+            raise InjectionError(
+                f"poolline trip {trip_id!r} is in the feed but driver "
+                f"{driver_id_of_trip(trip_id)} has no journey in this scenario"
+            )
 
 
 def inject_poollines(

@@ -105,11 +105,12 @@ class Itinerary:
 
 @dataclass(frozen=True)
 class FootpathSet:
-    """Symmetric stop-to-stop walking links in CSR layout.
+    """Directed stop-to-stop walking links in CSR layout.
 
     ``stop_ids`` fixes the stop indexing; for source stop i the targets
     are ``targets[starts[i]:starts[i+1]]``, sorted, with matching walk
-    seconds and kilometres.
+    seconds and kilometres.  :func:`build_footpaths` returns a symmetric
+    set; a :class:`Planner` keeps only the links its scan can read.
     """
 
     stop_ids: tuple[str, ...]
@@ -118,14 +119,16 @@ class FootpathSet:
     seconds: np.ndarray
     km: np.ndarray
 
-    def pair_count(self) -> int:
-        return int(len(self.targets)) // 2
-
-    def pairs(self):
-        """Yield (from_stop_id, to_stop_id, seconds, km) for every directed link."""
-        for i, sid in enumerate(self.stop_ids):
-            for k in range(int(self.starts[i]), int(self.starts[i + 1])):
-                yield sid, self.stop_ids[int(self.targets[k])], int(self.seconds[k]), float(self.km[k])
+    def restricted(self, sources: np.ndarray, targets: np.ndarray) -> "FootpathSet":
+        """The links from a stop flagged in ``sources`` to one flagged in ``targets``."""
+        n = len(self.stop_ids)
+        source = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.starts))
+        keep = sources[source] & targets[self.targets]
+        starts = np.zeros(n + 1, dtype=np.int64)
+        starts[1:] = np.cumsum(np.bincount(source[keep], minlength=n))
+        return FootpathSet(
+            self.stop_ids, starts, self.targets[keep], self.seconds[keep], self.km[keep]
+        )
 
 
 def _walk_seconds_vec(road: np.ndarray, model: TravelModel) -> np.ndarray:
@@ -140,7 +143,8 @@ def build_footpaths(
 
     A KD-tree over a local flat projection prefilters candidates with a
     safety margin; exact great-circle distances make the final cut, so
-    the result is identical to the quadratic scan.
+    the result is identical to the quadratic scan.  Both directions of
+    every pair are kept.
     """
     stop_ids = tuple(sorted(t.stops))
     n = len(stop_ids)
@@ -159,34 +163,40 @@ def build_footpaths(
     )
     radius = max_walk_km / model.circuity
     pairs = cKDTree(xy).query_pairs(r=radius * 1.05 + 0.01, output_type="ndarray")
+    a = pairs[:, 0].astype(np.int64)
+    b = pairs[:, 1].astype(np.int64)
+    h = (
+        np.sin((lat_r[b] - lat_r[a]) / 2.0) ** 2
+        + np.cos(lat_r[a]) * np.cos(lat_r[b]) * np.sin((lon_r[b] - lon_r[a]) / 2.0) ** 2
+    )
+    hav = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+    road = model.circuity * hav
+    keep = road <= max_walk_km
+    a, b, road = a[keep], b[keep], road[keep]
+    # Through int64, so a zero-length link gets 0.0 seconds, not ceil's -0.0.
+    secs = _walk_seconds_vec(road, model).astype(np.int64).astype(np.float64)
 
-    links: list[tuple[int, int, int, float]] = []
-    if len(pairs):
-        a = pairs[:, 0]
-        b = pairs[:, 1]
-        h = (
-            np.sin((lat_r[b] - lat_r[a]) / 2.0) ** 2
-            + np.cos(lat_r[a]) * np.cos(lat_r[b]) * np.sin((lon_r[b] - lon_r[a]) / 2.0) ** 2
-        )
-        hav = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
-        road = model.circuity * hav
-        keep = road <= max_walk_km
-        secs = _walk_seconds_vec(road[keep], model).astype(np.int64)
-        for i, j, s, km in zip(a[keep], b[keep], secs, road[keep]):
-            links.append((int(i), int(j), int(s), float(km)))
-            links.append((int(j), int(i), int(s), float(km)))
-
-    links.sort()
-    targets = np.array([l[1] for l in links], dtype=np.int64)
-    seconds = np.array([l[2] for l in links], dtype=np.float64)
-    km = np.array([l[3] for l in links], dtype=np.float64)
-    counts = np.bincount([l[0] for l in links], minlength=n) if links else np.zeros(n, dtype=np.int64)
-    starts[1:] = np.cumsum(counts)
-    return FootpathSet(stop_ids, starts, targets, seconds, km)
+    source = np.concatenate((a, b))
+    target = np.concatenate((b, a))
+    order = np.lexsort((target, source))
+    starts[1:] = np.cumsum(np.bincount(source, minlength=n))
+    return FootpathSet(
+        stop_ids,
+        starts,
+        target[order],
+        np.concatenate((secs, secs))[order],
+        np.concatenate((road, road))[order],
+    )
 
 
 class Planner:
-    """Prepared search structures for one timetable and travel model."""
+    """Prepared search structures for one timetable and travel model.
+
+    ``footpaths`` holds only the links the scan can read: from a stop
+    where some connection arrives to a stop where some connection
+    departs.  It is therefore not symmetric.  A ``footpaths`` argument
+    is restricted the same way.
+    """
 
     def __init__(
         self,
@@ -202,7 +212,6 @@ class Planner:
         self.transfer_s = transfer_s
         if footpaths is None:
             footpaths = build_footpaths(timetable, model, max_walk_km)
-        self.footpaths = footpaths
 
         self._stop_ids = footpaths.stop_ids
         self._stop_index = {sid: i for i, sid in enumerate(self._stop_ids)}
@@ -260,7 +269,24 @@ class Planner:
         self._c_arr_t = arr_t
         self._c_trip = c_trip
         self._c_pos = c_pos
-        self._dep_times = np.array(dep_t, dtype=np.int64)
+
+        # Per mode, the connections it may use, in scan order, and their
+        # departure times.
+        dep_times = np.array(dep_t, dtype=np.int64)
+        pool = np.array(self._pool_flags, dtype=bool)[np.array(c_trip, dtype=np.int64)]
+        no_pool = np.flatnonzero(~pool)
+        pool_only = np.flatnonzero(pool)
+        self._mode_conns = {
+            PlanMode.TRANSIT: (range(len(dep_t)), dep_times),
+            PlanMode.TRANSIT_NO_POOL: (no_pool.tolist(), dep_times[no_pool]),
+            PlanMode.POOL_ONLY: (pool_only.tolist(), dep_times[pool_only]),
+        }
+
+        arriving = np.zeros(len(self._stop_ids), dtype=bool)
+        arriving[arr_s] = True
+        departing = np.zeros(len(self._stop_ids), dtype=bool)
+        departing[dep_s] = True
+        self.footpaths = footpaths.restricted(arriving, departing)
 
     # ---- helpers ----------------------------------------------------
 
@@ -269,9 +295,6 @@ class Planner:
 
         Stops beyond the walking cap get infinity.
         """
-        n = len(self._stop_ids)
-        if n == 0:
-            return np.zeros(0), np.zeros(0)
         hav = haversine_km_to_point(self._lat_r, self._lon_r, point)
         road = self.model.circuity * hav
         secs = _walk_seconds_vec(road, self.model)
@@ -307,21 +330,28 @@ class Planner:
 
     # ---- the scan ---------------------------------------------------
 
-    def _solve(self, req: PlanRequest, banned: frozenset[int]) -> Itinerary:
-        if req.mode is PlanMode.WALK_ONLY:
-            return self._walk_only(req)
+    def _request_links(self, req: PlanRequest) -> tuple[np.ndarray, ...] | None:
+        """Access and egress walks of a request, shared by its alternatives.
+
+        None when the request can only walk.
+        """
+        if req.mode is PlanMode.WALK_ONLY or not self._stop_ids:
+            return None
+        return self._endpoint_links(req.origin) + self._endpoint_links(req.destination)
+
+    def _solve(
+        self, req: PlanRequest, banned: frozenset[int], links: tuple[np.ndarray, ...] | None
+    ) -> Itinerary:
+        direct = self._walk_only(req)
+        if links is None:
+            return direct
 
         n = len(self._stop_ids)
         dep = req.departure
-        direct = self._walk_only(req)
         best = direct.arrive
         best_stop = -1
         best_egress = _INF
-        if n == 0:
-            return direct
-
-        access_s, access_km = self._endpoint_links(req.origin)
-        egress_s, egress_km = self._endpoint_links(req.destination)
+        access_s, access_km, egress_s, egress_km = links
 
         arr_foot = np.where(np.isfinite(access_s), dep + access_s, _INF)
         foot_prev = np.full(n, -2, dtype=np.int64)
@@ -332,30 +362,23 @@ class Planner:
         boarded = bytearray(n_trips)
         board_conn = [-1] * n_trips
 
-        use_pool = req.mode in (PlanMode.TRANSIT, PlanMode.POOL_ONLY)
-        use_transit = req.mode in (PlanMode.TRANSIT, PlanMode.TRANSIT_NO_POOL)
         dw = self.transfer_s
         c_dep_s = self._c_dep_s
         c_dep_t = self._c_dep_t
         c_arr_s = self._c_arr_s
         c_arr_t = self._c_arr_t
         c_trip = self._c_trip
-        pool_flags = self._pool_flags
         fp_starts = self.footpaths.starts
         fp_targets = self.footpaths.targets
         fp_seconds = self.footpaths.seconds
 
-        lo = int(np.searchsorted(self._dep_times, dep, side="left"))
-        for ci in range(lo, len(c_dep_t)):
+        conns, times = self._mode_conns[req.mode]
+        lo = int(np.searchsorted(times, dep, side="left"))
+        for ci in conns[lo:]:
             t0 = c_dep_t[ci]
             if t0 > best:
                 break
             ti = c_trip[ci]
-            if pool_flags[ti]:
-                if not use_pool:
-                    continue
-            elif not use_transit:
-                continue
             if ti in banned:
                 continue
             if not boarded[ti]:
@@ -516,7 +539,7 @@ class Planner:
         A direct walk is always available, so this never fails on a
         connected plane.
         """
-        return self._solve(req, frozenset())
+        return self._solve(req, frozenset(), self._request_links(req))
 
     def iter_itineraries(self, req: PlanRequest):
         """Yield alternatives lazily, best first.
@@ -525,11 +548,12 @@ class Planner:
         re-solves; a walk-only itinerary closes the list as the final
         fallback.  At most ``req.num_itineraries`` results.
         """
+        links = self._request_links(req)
         banned: set[int] = set()
         seen: set[tuple] = set()
         count = 0
         while count < req.num_itineraries:
-            it = self._solve(req, frozenset(banned))
+            it = self._solve(req, frozenset(banned), links)
             rides = it.ride_legs
             if not rides:
                 break

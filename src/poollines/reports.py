@@ -25,6 +25,8 @@ from .simulation import (
 
 _OUTCOME_HEADER = ["rider_id", "mode", "depart", "arrive", "walk_km", "wait_s", "driver_ids"]
 _JOURNEY_HEADER = ["driver_id", "baseline_km", "length_km", "pruned_length_km", "occupancy", "voided"]
+# Every variant writes one file of each of these, ``<prefix>_<variant>.csv``.
+_VARIANT_FILES = ("outcomes", "journeys", "occupancy", "detour_ratio", "detour_km")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -116,6 +118,12 @@ def write_outputs(outdir: str | Path, scenario: Scenario, result: SimulationResu
             ["bin", "drivers"],
             [[b, report.detour_km_hist[b]] for b in _KM_BINS],
         )
+    # A variant not run here must not leave files of an earlier run behind:
+    # ``metrics`` would rebuild report.json from them.
+    for variant in SystemVariant:
+        if variant not in result.reports:
+            for prefix in _VARIANT_FILES:
+                (outdir / f"{prefix}_{variant.value}.csv").unlink(missing_ok=True)
 
     _write_csv(
         outdir / "modal_split.csv",

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from poollines.geo import GeoPoint, TravelModel
+from poollines.geo import EARTH_RADIUS_KM, GeoPoint, TravelModel
 from poollines.gtfs import (
     CalendarRow,
     GtfsStopTime,
@@ -216,6 +217,56 @@ def footpaths_from_links(
         targets=np.array([r[1] for r in rows], dtype=np.int64),
         seconds=np.array([r[2] for r in rows], dtype=np.float64),
         km=np.array([r[3] for r in rows], dtype=np.float64),
+    )
+
+
+def reference_build_footpaths(
+    timetable: Timetable, model: TravelModel, max_walk_km: float = 2.5
+) -> FootpathSet:
+    """``build_footpaths`` the plain way: a Python list of link tuples, sorted.
+
+    Same KD-tree prefilter and the same float arithmetic as the package,
+    so the arrays must agree bit for bit; only the assembly differs.
+    """
+    stop_ids = tuple(sorted(timetable.stops))
+    n = len(stop_ids)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    if n == 0 or max_walk_km <= 0:
+        empty = np.zeros(0)
+        return FootpathSet(stop_ids, starts, empty.astype(np.int64), empty, empty)
+
+    lat_r = np.radians(np.array([timetable.stops[s].position.lat for s in stop_ids]))
+    lon_r = np.radians(np.array([timetable.stops[s].position.lon for s in stop_ids]))
+    mid = float(np.mean(lat_r))
+    xy = np.column_stack((EARTH_RADIUS_KM * np.cos(mid) * lon_r, EARTH_RADIUS_KM * lat_r))
+    radius = max_walk_km / model.circuity
+    pairs = cKDTree(xy).query_pairs(r=radius * 1.05 + 0.01, output_type="ndarray")
+
+    links: list[tuple[int, int, int, float]] = []
+    if len(pairs):
+        a = pairs[:, 0]
+        b = pairs[:, 1]
+        h = (
+            np.sin((lat_r[b] - lat_r[a]) / 2.0) ** 2
+            + np.cos(lat_r[a]) * np.cos(lat_r[b]) * np.sin((lon_r[b] - lon_r[a]) / 2.0) ** 2
+        )
+        road = model.circuity * (2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h)))
+        keep = road <= max_walk_km
+        raw = road[keep] * 3600.0 / model.walk_speed_kmh
+        secs = np.maximum(0.0, np.ceil(raw - 1e-9)).astype(np.int64)
+        for i, j, s, km in zip(a[keep], b[keep], secs, road[keep]):
+            links.append((int(i), int(j), int(s), float(km)))
+            links.append((int(j), int(i), int(s), float(km)))
+
+    links.sort()
+    counts = np.bincount([l[0] for l in links], minlength=n) if links else np.zeros(n, dtype=np.int64)
+    starts[1:] = np.cumsum(counts)
+    return FootpathSet(
+        stop_ids,
+        starts,
+        np.array([l[1] for l in links], dtype=np.int64),
+        np.array([l[2] for l in links], dtype=np.float64),
+        np.array([l[3] for l in links], dtype=np.float64),
     )
 
 

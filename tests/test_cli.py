@@ -10,7 +10,7 @@ import pytest
 
 from poollines.cli import main
 from poollines.gtfs import parse_gtfs
-from poollines.injection import is_poolline_trip
+from poollines.injection import is_poolline_trip, pool_trip_id
 from poollines.scenario import Window, read_agents
 
 SIM_START = Window.from_texts("09:30:00", "12:30:00").start
@@ -156,6 +156,21 @@ def test_single_variant_run(tmp_path):
     assert report["vkt_saved_km"] is None
 
 
+def test_single_variant_rerun_removes_the_other_variants_files(workspace):
+    root, cfg = workspace
+    run = root / "run_rerun"
+    shutil.copytree(root / "run_a", run)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(run),
+               "--variant", "integrated"])
+    assert rc == 0
+    for variant in ("no_carpooling", "current"):
+        for stem in ("outcomes", "journeys", "occupancy", "detour_ratio", "detour_km"):
+            assert not (run / f"{stem}_{variant}.csv").exists()
+    written = (run / "report.json").read_bytes()
+    assert main(["metrics", "--config", str(cfg), "--dir", str(run)]) == 0
+    assert (run / "report.json").read_bytes() == written
+
+
 # ---- metrics --------------------------------------------------------
 
 
@@ -205,6 +220,28 @@ def test_missing_feed_is_a_data_error(tmp_path, capsys):
     )
     assert main(["inject", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_feed_already_carrying_poollines_is_a_data_error(tmp_path, capsys):
+    scenario = {
+        "rectangles": "city",
+        "driver_count": 60,
+        "rider_count": 120,
+        "area_km2": 400.0,
+    }
+    cfg = _write_config(tmp_path / "config.json", seed=7, scenario=scenario)
+    assert main(["inject", "--config", str(cfg), "--out", str(tmp_path / "feed")]) == 0
+    cfg = _write_config(
+        tmp_path / "config.json",
+        seed=7,
+        synthetic_city=False,
+        gtfs_path=str(tmp_path / "feed"),
+        scenario={**scenario, "driver_count": 0},
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert repr(pool_trip_id(1)) in err
 
 
 def test_metrics_without_outputs_is_a_data_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poollines.geo import GeoPoint, TravelModel
 from poollines.gtfs import GtfsStopTime, Route, Stop, Timetable, Trip
@@ -22,6 +24,7 @@ from oracles import (
     footpaths_from_links,
     random_endpoints,
     random_feed,
+    reference_build_footpaths,
     reference_road_km,
 )
 
@@ -382,9 +385,10 @@ def test_footpaths_match_quadratic_scan():
                 km = reference_road_km(stops[sa].position, stops[sb].position, MODEL)
                 if km <= 2.5:
                     expected.add((sa, sb))
-        got = {(a, b) for a, b, _, _ in fps.pairs()}
+        links = _links(fps)
+        got = {(a, b) for a, b, _, _ in links}
         assert got == expected
-        for a, b, secs, km in fps.pairs():
+        for a, b, secs, km in links:
             assert km <= 2.5
             assert km == pytest.approx(
                 reference_road_km(stops[a].position, stops[b].position, MODEL), rel=1e-9
@@ -398,7 +402,90 @@ def test_footpath_cap_zero_means_no_links():
         f"S{k}": Stop(f"S{k}", "s", GeoPoint(45.0, -122.3 + 0.001 * k)) for k in range(5)
     }
     t = Timetable(stops, {}, {}, {}, (), (), {})
-    assert build_footpaths(t, MODEL, max_walk_km=0.0).pair_count() == 0
+    assert len(build_footpaths(t, MODEL, max_walk_km=0.0).targets) == 0
+
+
+def _links(fps: FootpathSet) -> list[tuple[str, str, float, float]]:
+    """(from_stop, to_stop, seconds, km) for every directed link of the CSR arrays."""
+    source = np.repeat(np.arange(len(fps.stop_ids)), np.diff(fps.starts))
+    return [
+        (fps.stop_ids[i], fps.stop_ids[j], s, km)
+        for i, j, s, km in zip(
+            source.tolist(), fps.targets.tolist(), fps.seconds.tolist(), fps.km.tolist()
+        )
+    ]
+
+
+def _stops(points) -> dict[str, Stop]:
+    return {f"S{k:03d}": Stop(f"S{k:03d}", "s", GeoPoint(lat, lon)) for k, (lat, lon) in enumerate(points)}
+
+
+@st.composite
+def _stop_sets(draw):
+    """Stops in a 5 km box, some of them repeated, plus a few far away."""
+    near = st.tuples(st.floats(45.0, 45.045), st.floats(-122.3, -122.236))
+    points = draw(st.lists(near, max_size=30))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=4))
+    points += draw(st.lists(st.tuples(st.floats(46.0, 47.0), st.floats(-120.0, -119.0)), max_size=2))
+    return _stops(points)
+
+
+@settings(deadline=None)
+@given(stops=_stop_sets(), cap=st.sampled_from([0.0, 0.4, 2.5]))
+@example(stops={}, cap=2.5)
+# Two stops at one point (a zero-length link) and an isolated stop.
+@example(stops=_stops([(45.01, -122.29), (45.01, -122.29), (46.5, -119.5)]), cap=2.5)
+def test_footpaths_equal_the_tuple_sort_reference_bit_for_bit(stops, cap):
+    t = Timetable(stops, {}, {}, {}, (), (), {})
+    got = build_footpaths(t, MODEL, max_walk_km=cap)
+    want = reference_build_footpaths(t, MODEL, max_walk_km=cap)
+    assert got.stop_ids == want.stop_ids
+    for name in ("starts", "targets", "seconds", "km"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+_MODE_TRIPS = (
+    (PlanMode.TRANSIT, None),
+    (PlanMode.TRANSIT_NO_POOL, lambda tid: not is_poolline_trip(tid)),
+    (PlanMode.POOL_ONLY, is_poolline_trip),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(feed_seed=st.integers(0, 2**32 - 1))
+def test_planner_keeps_exactly_the_readable_footpaths(feed_seed):
+    t, links = random_feed(np.random.default_rng(feed_seed), MODEL)
+    arriving = {x.stop_id for sts in t.stoptimes.values() for x in sts[1:]}
+    departing = {x.stop_id for sts in t.stoptimes.values() for x in sts[:-1]}
+    planner = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
+    want = sorted(l for l in links if l[0] in arriving and l[1] in departing)
+    assert _links(planner.footpaths) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(feed_seed=st.integers(0, 2**32 - 1), query_seed=st.integers(0, 2**32 - 1))
+def test_every_mode_and_alternative_equals_the_oracle(feed_seed, query_seed):
+    t, links = random_feed(np.random.default_rng(feed_seed), MODEL)
+    planner = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
+    oracle = OracleRouter(t, MODEL, [(a, b, s) for a, b, s, _ in links])
+    org, dst, dep = random_endpoints(np.random.default_rng(query_seed))
+    for mode, allowed in _MODE_TRIPS:
+        req = PlanRequest(org, dst, dep, mode=mode)
+        assert planner.earliest_arrival(req).arrive == oracle.earliest_arrival(
+            org, dst, dep, allowed=allowed
+        )
+        # Each alternative is the earliest arrival without the trips banned so far.
+        banned: set[str] = set()
+        for it in planner.plan(req):
+            if not it.ride_legs:
+                break
+            assert it.arrive == oracle.earliest_arrival(
+                org, dst, dep, allowed=allowed, banned=frozenset(banned)
+            )
+            banned.add(it.ride_legs[0].trip_id)
 
 
 # ---- request plumbing -----------------------------------------------
