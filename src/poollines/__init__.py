@@ -41,7 +41,6 @@ from .injection import (
     driver_id_of_trip,
     inject_poollines,
     is_poolline_trip,
-    poolline_route_type,
 )
 from .planner import (
     FootpathSet,
@@ -51,9 +50,6 @@ from .planner import (
     PlanRequest,
     Planner,
     build_footpaths,
-    itinerary_to_records,
-    request_from_query,
-    request_to_query,
 )
 from .matching import (
     FeasibilityRules,

@@ -5,7 +5,9 @@ override, never extend.  Unknown keys are rejected so typos fail fast.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,13 +121,33 @@ def _scenario(raw: dict, seed: int, seat_capacity: int) -> ScenarioConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _bool(raw: dict, key: str, default: bool) -> bool:
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 def _sub(raw: dict, key: str, cls, allowed: set[str]):
+    """An object block built into ``cls``.
+
+    A value must have its default's JSON type: a boolean for a flag, a
+    finite number otherwise, so ``"false"`` or ``"abc"`` fail here and
+    not deep in the run.
+    """
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object")
     unknown = set(value) - allowed
     if unknown:
         raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        v = value.get(f.name, f.default)
+        if isinstance(f.default, bool):
+            if not isinstance(v, bool):
+                raise ConfigError(f"{key}.{f.name} must be true or false, not {v!r}")
+        elif isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(f"{key}.{f.name} must be a finite number, not {v!r}")
     try:
         return cls(**value)
     except (TypeError, ValueError) as exc:
@@ -153,7 +175,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig()
     try:
         cfg.gtfs_path = raw.get("gtfs_path")
-        cfg.synthetic_city = bool(raw.get("synthetic_city", False))
+        cfg.synthetic_city = _bool(raw, "synthetic_city", False)
         cfg.output_dir = str(raw.get("output_dir", cfg.output_dir))
         cfg.seed = int(raw.get("seed", cfg.seed))
         cfg.service_date = str(raw.get("service_date", cfg.service_date))
@@ -164,7 +186,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         cfg.num_itineraries = int(raw.get("num_itineraries", cfg.num_itineraries))
         cfg.seat_capacity = int(raw.get("seat_capacity", cfg.seat_capacity))
         cfg.workers = int(raw.get("workers", cfg.workers))
-        cfg.capacity_enforcement = bool(raw.get("capacity_enforcement", True))
+        cfg.capacity_enforcement = _bool(raw, "capacity_enforcement", True)
         cfg.meeting_point_route_types = tuple(
             int(x) for x in raw.get("meeting_point_route_types", [1])
         )
@@ -174,6 +196,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
     if cfg.tau < 0:
         raise ConfigError("tau must be non-negative")
+    if cfg.num_itineraries < 1:
+        raise ConfigError(f"num_itineraries must be >= 1, not {cfg.num_itineraries}")
     if cfg.dwell_s < 0 or cfg.transfer_s < 0:
         raise ConfigError("dwell_s and transfer_s must be non-negative")
     if not cfg.meeting_point_route_types:

@@ -112,9 +112,6 @@ class Timetable:
     calendar_dates: tuple[CalendarDateRow, ...] = ()
     extra_files: dict[str, bytes] = field(default_factory=dict)
 
-    def trip_stoptimes(self, trip_id: str) -> tuple[GtfsStopTime, ...]:
-        return self.stoptimes.get(trip_id, ())
-
 
 def parse_gtfs_time(text: str) -> int:
     """Parse HH:MM:SS into seconds since service midnight.

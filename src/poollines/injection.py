@@ -50,11 +50,6 @@ class StopIdCollision(IdCollision):
         super().__init__("stop", value)
 
 
-def poolline_route_type() -> int:
-    """GTFS route_type written on injected routes (a plain bus value)."""
-    return ROUTE_TYPE_BUS
-
-
 def pool_trip_id(driver_id: int) -> str:
     return f"{POOL_TRIP_PREFIX}{driver_id}"
 
@@ -103,7 +98,7 @@ def build_poolline(journey: DriverJourney, service_id: str = POOL_SERVICE_ID) ->
     route = Route(
         route_id=pool_route_name(driver_id),
         name=pool_route_name(driver_id),
-        route_type=poolline_route_type(),
+        route_type=ROUTE_TYPE_BUS,
     )
     trip = Trip(trip_id=pool_trip_id(driver_id), route_id=route.route_id, service_id=service_id)
 

@@ -15,7 +15,6 @@ transfer needs no buffer beyond its own walking time.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +29,7 @@ from .geo import (
     road_km,
     walk_seconds,
 )
-from .gtfs import Timetable, format_coordinate
+from .gtfs import Timetable
 from .injection import is_poolline_trip
 
 DEFAULT_MAX_WALK_KM = 2.5
@@ -42,7 +41,6 @@ _INF = math.inf
 
 class PlanMode(str, Enum):
     TRANSIT = "TRANSIT"            # every trip in the feed, carpool included
-    WALK_ONLY = "WALK_ONLY"        # no vehicles at all
     TRANSIT_NO_POOL = "TRANSIT_NO_POOL"  # timetabled service only
     POOL_ONLY = "POOL_ONLY"        # carpool trips only
 
@@ -54,7 +52,6 @@ class PlanRequest:
     departure: int
     mode: PlanMode = PlanMode.TRANSIT
     num_itineraries: int = DEFAULT_NUM_ITINERARIES
-    date: str | None = None  # ISO date, informational
 
     def __post_init__(self) -> None:
         if self.departure < 0:
@@ -333,9 +330,9 @@ class Planner:
     def _request_links(self, req: PlanRequest) -> tuple[np.ndarray, ...] | None:
         """Access and egress walks of a request, shared by its alternatives.
 
-        None when the request can only walk.
+        None when the feed has no stops, so the request can only walk.
         """
-        if req.mode is PlanMode.WALK_ONLY or not self._stop_ids:
+        if not self._stop_ids:
             return None
         return self._endpoint_links(req.origin) + self._endpoint_links(req.destination)
 
@@ -576,95 +573,3 @@ class Planner:
 
 def _signature(it: Itinerary) -> tuple:
     return tuple((l.kind, l.trip_id, l.from_stop, l.to_stop, l.start, l.end) for l in it.legs)
-
-
-# ---- flat query serialisation (planner-service style) ----------------
-
-_TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})(?::(\d{2}))?(am|pm)$")
-
-
-def _format_query_time(seconds: int) -> str:
-    if not 0 <= seconds < 24 * 3600:
-        raise ValueError("query times must fall within one day")
-    h, rest = divmod(seconds, 3600)
-    m, s = divmod(rest, 60)
-    suffix = "am" if h < 12 else "pm"
-    h12 = h % 12
-    if h12 == 0:
-        h12 = 12
-    if s:
-        return f"{h12}:{m:02d}:{s:02d}{suffix}"
-    return f"{h12}:{m:02d}{suffix}"
-
-
-def _parse_query_time(text: str) -> int:
-    m = _TIME_RE.match(text.strip().lower())
-    if not m:
-        raise ValueError(f"bad query time: {text!r}")
-    h12 = int(m.group(1))
-    minutes = int(m.group(2))
-    seconds = int(m.group(3) or 0)
-    if not 1 <= h12 <= 12 or minutes > 59 or seconds > 59:
-        raise ValueError(f"bad query time: {text!r}")
-    h = h12 % 12
-    if m.group(4) == "pm":
-        h += 12
-    return h * 3600 + minutes * 60 + seconds
-
-
-def request_to_query(req: PlanRequest) -> dict[str, str]:
-    """Flatten a request into planner-service query fields."""
-    query = {
-        "fromPlace": f"{format_coordinate(req.origin.lat)},{format_coordinate(req.origin.lon)}",
-        "toPlace": f"{format_coordinate(req.destination.lat)},{format_coordinate(req.destination.lon)}",
-        "time": _format_query_time(req.departure),
-        "numItineraries": str(req.num_itineraries),
-        "mode": req.mode.value,
-    }
-    if req.date is not None:
-        year, month, day = req.date.split("-")
-        query["date"] = f"{month}-{day}-{year}"
-    return query
-
-
-def request_from_query(query: dict[str, str]) -> PlanRequest:
-    """Inverse of :func:`request_to_query`."""
-    def _point(text: str) -> GeoPoint:
-        lat, lon = text.split(",")
-        return GeoPoint(float(lat), float(lon))
-
-    date = None
-    if "date" in query:
-        month, day, year = query["date"].split("-")
-        date = f"{year}-{month}-{day}"
-    return PlanRequest(
-        origin=_point(query["fromPlace"]),
-        destination=_point(query["toPlace"]),
-        departure=_parse_query_time(query["time"]),
-        mode=PlanMode(query.get("mode", "TRANSIT")),
-        num_itineraries=int(query.get("numItineraries", DEFAULT_NUM_ITINERARIES)),
-        date=date,
-    )
-
-
-def itinerary_to_records(it: Itinerary) -> list[dict[str, object]]:
-    """One flat record per leg, ready for CSV or JSON serialisation."""
-    records = []
-    for i, leg in enumerate(it.legs):
-        records.append(
-            {
-                "leg": i,
-                "kind": leg.kind,
-                "trip_id": leg.trip_id or "",
-                "from_stop": leg.from_stop or "",
-                "to_stop": leg.to_stop or "",
-                "start": leg.start,
-                "end": leg.end,
-                "distance_km": leg.distance_km,
-                "from_lat": leg.from_point.lat,
-                "from_lon": leg.from_point.lon,
-                "to_lat": leg.to_point.lat,
-                "to_lon": leg.to_point.lon,
-            }
-        )
-    return records

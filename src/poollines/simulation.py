@@ -7,6 +7,11 @@ journey, INTEGRATED lets one journey mix both and keeps whichever
 view serves the rider best.  Restricting modes on the augmented feed
 is exactly equivalent to planning on the bare feed, so the variants
 are comparable rider by rider.
+
+A comparison solves each (rider, planner mode) once and builds every
+variant from those outcomes: INTEGRATED's restricted arms reuse the
+outcomes already solved for CURRENT and NO_CARPOOLING.  A solve is
+deterministic, so sharing it changes no answer.
 """
 from __future__ import annotations
 
@@ -45,11 +50,13 @@ class SystemVariant(str, Enum):
     INTEGRATED = "integrated"
 
 
-# Planner modes each variant resolves; ties go to the earlier arm.
-# INTEGRATED also evaluates the restricted views: the alternatives
-# search diversifies by banning first ride trips, which can hide a
-# feasible pure-transit journey behind pool-polluted prefixes, and the
-# integrated system must never serve fewer riders than the split one.
+# How each variant combines the per-mode outcomes; ties go to the
+# earlier arm.  A comparison solves each mode once for all variants, so
+# INTEGRATED's restricted arms cost no extra solve.  INTEGRATED still
+# needs them: the alternatives search diversifies by banning first ride
+# trips, which can hide a feasible pure-transit journey behind
+# pool-polluted prefixes, and the integrated system must never serve
+# fewer riders than the split one.
 _VARIANT_ARMS: dict[SystemVariant, tuple[PlanMode, ...]] = {
     SystemVariant.NO_CARPOOLING: (PlanMode.TRANSIT_NO_POOL,),
     SystemVariant.CURRENT: (PlanMode.TRANSIT_NO_POOL, PlanMode.POOL_ONLY),
@@ -217,7 +224,8 @@ def _resolve_all(
     arms: tuple[PlanMode, ...],
     num_itineraries: int,
     workers: int,
-) -> list[tuple[RiderOutcome, ...]]:
+) -> dict[PlanMode, list[RiderOutcome]]:
+    """Every rider's outcome under each of ``arms``, listed per mode."""
     global _STATE
     _STATE = {
         "planner": planner,
@@ -229,18 +237,17 @@ def _resolve_all(
     try:
         n = len(riders)
         if workers <= 1 or n < 32:
-            return [_resolve_one(i) for i in range(n)]
-        # Fork workers inherit _STATE; only chunk bounds travel over IPC.
-        chunk = max(1, math.ceil(n / (workers * 4)))
-        bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            results: list[tuple[RiderOutcome, ...]] = []
-            for part in pool.map(_resolve_chunk, bounds):
-                results.extend(part)
-            return results
+            rows = [_resolve_one(i) for i in range(n)]
+        else:
+            # Fork workers inherit _STATE; only chunk bounds travel over IPC.
+            chunk = max(1, math.ceil(n / (workers * 4)))
+            bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                rows = [row for part in pool.map(_resolve_chunk, bounds) for row in part]
     finally:
         _STATE = None
+    return {mode: [row[k] for row in rows] for k, mode in enumerate(arms)}
 
 
 def run_variant(
@@ -252,20 +259,24 @@ def run_variant(
     num_itineraries: int = 10,
     capacity_enforcement: bool = True,
     workers: int = 1,
+    solved: Mapping[PlanMode, list[RiderOutcome]] | None = None,
 ) -> SimulationReport:
     """Resolve every rider under one variant and collect its metrics.
 
-    All riders are resolved (they occupy seats and shape pruning);
-    modal shares and served sets use only stats-window departures.
+    ``solved`` holds every rider's outcome per planner mode, as a
+    comparison shares them; without it the variant resolves its own
+    arms.  All riders are resolved (they occupy seats and shape
+    pruning); modal shares and served sets use only stats-window
+    departures.
     """
     arms = _VARIANT_ARMS[variant]
-    per_rider = _resolve_all(
-        planner, scenario.riders, rules, arms, num_itineraries, workers
-    )
-    if len(arms) == 1:
-        outcomes = [pair[0] for pair in per_rider]
-    else:
-        outcomes = [functools.reduce(better_outcome, pair) for pair in per_rider]
+    if solved is None:
+        solved = _resolve_all(
+            planner, scenario.riders, rules, arms, num_itineraries, workers
+        )
+    outcomes = [
+        functools.reduce(better_outcome, pair) for pair in zip(*(solved[m] for m in arms))
+    ]
 
     capacities = {d.driver_id: d.seat_capacity for d in scenario.drivers}
     if capacity_enforcement:
@@ -310,13 +321,21 @@ def run_comparison(
     capacity_enforcement: bool = True,
     workers: int = 1,
 ) -> SimulationResult:
-    """Run the requested variants and, when both sides exist, the savings."""
+    """Run the requested variants and, when both sides exist, the savings.
+
+    Each planner mode the variants need is solved once per rider.
+    """
+    modes = tuple(m for m in PlanMode if any(m in _VARIANT_ARMS[v] for v in variants))
+    solved = _resolve_all(
+        planner, scenario.riders, rules, modes, num_itineraries, workers
+    )
     reports = {
         v: run_variant(
             scenario, v, planner, journeys, rules,
             num_itineraries=num_itineraries,
             capacity_enforcement=capacity_enforcement,
             workers=workers,
+            solved=solved,
         )
         for v in variants
     }

@@ -206,6 +206,36 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+_SMALL_SCENARIO = {
+    "rectangles": "city",
+    "driver_count": 20,
+    "rider_count": 20,
+    "area_km2": 400.0,
+}
+
+
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ({"num_itineraries": 0}, "num_itineraries"),
+        ({"capacity_enforcement": "false"}, "capacity_enforcement"),
+        ({"synthetic_city": "false"}, "synthetic_city"),
+        ({"rules": {"max_wait_s": "abc"}}, "rules.max_wait_s"),
+        ({"rules": {"max_walk_km": True}}, "rules.max_walk_km"),
+        ({"rules": {"walk_time_bound": 0}}, "rules.walk_time_bound"),
+        ({"travel": {"walk_speed_kmh": "5"}}, "travel.walk_speed_kmh"),
+        ({"emissions": {"grams_per_km": None}}, "emissions.grams_per_km"),
+    ],
+)
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, bad, key):
+    cfg = _write_config(tmp_path / "config.json", seed=7, scenario=_SMALL_SCENARIO, **bad)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_commands_needing_a_scenario_fail_without_one(tmp_path, capsys):
     cfg = _write_config(tmp_path / "config.json", scenario=_DROP)
     assert main(["generate", "--config", str(cfg)]) == 1

@@ -30,7 +30,6 @@ from poollines.injection import (
     origin_stop_id,
     pool_route_name,
     pool_trip_id,
-    poolline_route_type,
 )
 from poollines.synthetic import build_synthetic_city
 
@@ -68,7 +67,7 @@ def test_trip_classifier_round_trips():
 
 
 def test_route_type_is_bus_class():
-    assert poolline_route_type() == ROUTE_TYPE_BUS == 3
+    assert build_poolline(_journey(1)).route.route_type == ROUTE_TYPE_BUS == 3
 
 
 # ---- building one line ----------------------------------------------

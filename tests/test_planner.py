@@ -13,11 +13,7 @@ from poollines.planner import (
     PlanMode,
     PlanRequest,
     build_footpaths,
-    itinerary_to_records,
-    request_from_query,
-    request_to_query,
 )
-from poollines.planner import _format_query_time, _parse_query_time
 
 from oracles import (
     OracleRouter,
@@ -201,9 +197,6 @@ def test_modes_select_vehicle_classes():
 
     pool = planner.earliest_arrival(PlanRequest(P, R, 5000, mode=PlanMode.POOL_ONLY))
     assert _ride_trips(pool) == ["11622387001"]
-
-    afoot = planner.earliest_arrival(PlanRequest(P, R, 5000, mode=PlanMode.WALK_ONLY))
-    assert not afoot.ride_legs
 
 
 # ---- alternatives ---------------------------------------------------
@@ -489,52 +482,6 @@ def test_every_mode_and_alternative_equals_the_oracle(feed_seed, query_seed):
 
 
 # ---- request plumbing -----------------------------------------------
-
-
-def test_query_time_format():
-    assert _format_query_time(38700) == "10:45am"
-    assert _format_query_time(0) == "12:00am"
-    assert _format_query_time(45000) == "12:30pm"
-    assert _format_query_time(13 * 3600 + 62) == "1:01:02pm"
-    assert _parse_query_time("10:45am") == 38700
-    assert _parse_query_time("12:00am") == 0
-    assert _parse_query_time("12:30pm") == 45000
-    for text in ("25:00am", "10:60am", "1045am", "10:45", ""):
-        with pytest.raises(ValueError):
-            _parse_query_time(text)
-
-
-def test_query_time_round_trip():
-    rng = np.random.default_rng(111)
-    for _ in range(300):
-        seconds = int(rng.integers(0, 86400))
-        assert _parse_query_time(_format_query_time(seconds)) == seconds
-
-
-def test_request_round_trip():
-    rng = np.random.default_rng(222)
-    for _ in range(50):
-        req = PlanRequest(
-            origin=GeoPoint(float(rng.uniform(44, 46)), float(rng.uniform(-123, -121))),
-            destination=GeoPoint(float(rng.uniform(44, 46)), float(rng.uniform(-123, -121))),
-            departure=int(rng.integers(0, 86400)),
-            mode=PlanMode(["TRANSIT", "WALK_ONLY", "TRANSIT_NO_POOL", "POOL_ONLY"][int(rng.integers(0, 4))]),
-            num_itineraries=int(rng.integers(1, 12)),
-            date="2022-07-20",
-        )
-        query = request_to_query(req)
-        assert query["date"] == "07-20-2022"
-        assert request_from_query(query) == req
-
-
-def test_itinerary_records():
-    planner = Planner(_mode_fixture(), MODEL)
-    it = planner.earliest_arrival(PlanRequest(P, R, 5000))
-    records = itinerary_to_records(it)
-    assert len(records) == len(it.legs)
-    assert records[0]["leg"] == 0
-    assert {r["kind"] for r in records} <= {"walk", "transit", "carpool"}
-    assert all(r["end"] >= r["start"] for r in records)
 
 
 def test_request_validation():

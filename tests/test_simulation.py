@@ -21,6 +21,7 @@ from poollines.matching import (
 )
 from poollines.planner import Itinerary, Leg, Planner, PlanMode, PlanRequest
 from poollines.scenario import ScenarioConfig, Window, generate_scenario
+from poollines import simulation
 from poollines.simulation import (
     EmissionModel,
     SimulationReport,
@@ -345,3 +346,50 @@ def test_comparison_is_deterministic(small_world):
     assert a.vkt_saved_km == b.vkt_saved_km
     for v in a.reports:
         assert a.reports[v].outcomes == b.reports[v].outcomes
+
+
+@pytest.mark.parametrize(
+    "variants, modes",
+    [
+        (tuple(SystemVariant), 3),
+        ((SystemVariant.CURRENT,), 2),
+        ((SystemVariant.NO_CARPOOLING,), 1),
+    ],
+)
+def test_comparison_solves_each_rider_mode_once(small_world, monkeypatch, variants, modes):
+    _, scenario, journeys, planner = small_world
+    calls: list[tuple[int, PlanMode]] = []
+
+    def counting(planner, rider, rules, mode=PlanMode.TRANSIT, *args):
+        calls.append((rider.rider_id, mode))
+        return resolve_rider(planner, rider, rules, mode, *args)
+
+    monkeypatch.setattr(simulation, "resolve_rider", counting)
+    run_comparison(
+        scenario, planner, journeys, RULES, MODEL, EmissionModel(),
+        variants=variants, workers=1,
+    )
+    assert len(calls) == modes * len(scenario.riders)
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_comparison_equals_variants_run_alone(small_world, workers):
+    _, scenario, journeys, planner = small_world
+    assert len(scenario.riders) > 32  # so that workers=3 forks
+    result = run_comparison(
+        scenario, planner, journeys, RULES, MODEL, EmissionModel(),
+        capacity_enforcement=True, workers=workers,
+    )
+    for v in SystemVariant:
+        alone = run_variant(
+            scenario, v, planner, journeys, RULES,
+            capacity_enforcement=True, workers=workers,
+        )
+        shared = result.reports[v]
+        assert shared.outcomes == alone.outcomes
+        assert shared.voided_drivers == alone.voided_drivers
+        assert shared.modal_split == alone.modal_split
+        assert shared.occupancy_hist == alone.occupancy_hist
+        assert shared.detour_ratio_hist == alone.detour_ratio_hist
+        assert shared.detour_km_hist == alone.detour_km_hist
