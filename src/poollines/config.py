@@ -101,8 +101,8 @@ def _scenario(raw: dict, seed: int, seat_capacity: int) -> ScenarioConfig:
         raise ConfigError("scenario.rectangles is required")
     kwargs = {
         "rectangles": _rectangles(raw["rectangles"]),
-        "driver_density": float(raw.get("driver_density", 0.0)),
-        "rider_density": float(raw.get("rider_density", 0.0)),
+        "driver_density": _float(raw, "driver_density", 0.0, "scenario."),
+        "rider_density": _float(raw, "rider_density", 0.0, "scenario."),
         "seed": seed,
         "seat_capacity": seat_capacity,
     }
@@ -111,10 +111,10 @@ def _scenario(raw: dict, seed: int, seat_capacity: int) -> ScenarioConfig:
     if "stats_window" in raw:
         kwargs["stats_window"] = _window(raw["stats_window"], "scenario.stats_window")
     if raw.get("area_km2") is not None:
-        kwargs["area_km2"] = float(raw["area_km2"])
+        kwargs["area_km2"] = _float(raw, "area_km2", None, "scenario.")
     for key in ("driver_count", "rider_count"):
         if raw.get(key) is not None:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = _int(raw, key, None, "scenario.")
     try:
         return ScenarioConfig(**kwargs)
     except ScenarioError as exc:
@@ -126,6 +126,32 @@ def _bool(raw: dict, key: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, not {value!r}")
     return value
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``2.0``, ``true`` and ``"2"`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: booleans and strings are not."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    )
+
+
+def _int(raw: dict, key: str, default, prefix: str = "") -> int:
+    value = raw.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"{prefix}{key} must be an integer, not {value!r}")
+    return value
+
+
+def _float(raw: dict, key: str, default, prefix: str = "") -> float:
+    value = raw.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{prefix}{key} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def _sub(raw: dict, key: str, cls, allowed: set[str]):
@@ -146,7 +172,7 @@ def _sub(raw: dict, key: str, cls, allowed: set[str]):
         if isinstance(f.default, bool):
             if not isinstance(v, bool):
                 raise ConfigError(f"{key}.{f.name} must be true or false, not {v!r}")
-        elif isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        elif not _is_number(v):
             raise ConfigError(f"{key}.{f.name} must be a finite number, not {v!r}")
     try:
         return cls(**value)
@@ -173,26 +199,26 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     cfg = RunConfig()
-    try:
-        cfg.gtfs_path = raw.get("gtfs_path")
-        cfg.synthetic_city = _bool(raw, "synthetic_city", False)
-        cfg.output_dir = str(raw.get("output_dir", cfg.output_dir))
-        cfg.seed = int(raw.get("seed", cfg.seed))
-        cfg.service_date = str(raw.get("service_date", cfg.service_date))
-        cfg.tau = float(raw.get("tau", cfg.tau))
-        cfg.dwell_s = int(raw.get("dwell_s", cfg.dwell_s))
-        cfg.max_walk_km = float(raw.get("max_walk_km", cfg.max_walk_km))
-        cfg.transfer_s = int(raw.get("transfer_s", cfg.transfer_s))
-        cfg.num_itineraries = int(raw.get("num_itineraries", cfg.num_itineraries))
-        cfg.seat_capacity = int(raw.get("seat_capacity", cfg.seat_capacity))
-        cfg.workers = int(raw.get("workers", cfg.workers))
-        cfg.capacity_enforcement = _bool(raw, "capacity_enforcement", True)
-        cfg.meeting_point_route_types = tuple(
-            int(x) for x in raw.get("meeting_point_route_types", [1])
+    cfg.gtfs_path = raw.get("gtfs_path")
+    cfg.synthetic_city = _bool(raw, "synthetic_city", False)
+    cfg.output_dir = str(raw.get("output_dir", cfg.output_dir))
+    cfg.seed = _int(raw, "seed", cfg.seed)
+    cfg.service_date = str(raw.get("service_date", cfg.service_date))
+    cfg.tau = _float(raw, "tau", cfg.tau)
+    cfg.dwell_s = _int(raw, "dwell_s", cfg.dwell_s)
+    cfg.max_walk_km = _float(raw, "max_walk_km", cfg.max_walk_km)
+    cfg.transfer_s = _int(raw, "transfer_s", cfg.transfer_s)
+    cfg.num_itineraries = _int(raw, "num_itineraries", cfg.num_itineraries)
+    cfg.seat_capacity = _int(raw, "seat_capacity", cfg.seat_capacity)
+    cfg.workers = _int(raw, "workers", cfg.workers)
+    cfg.capacity_enforcement = _bool(raw, "capacity_enforcement", True)
+    route_types = raw.get("meeting_point_route_types", [1])
+    if not isinstance(route_types, list) or not all(_is_int(x) for x in route_types):
+        raise ConfigError(
+            f"meeting_point_route_types must be a list of integers, not {route_types!r}"
         )
-        cfg.agents_path = raw.get("agents_path")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    cfg.meeting_point_route_types = tuple(route_types)
+    cfg.agents_path = raw.get("agents_path")
 
     if cfg.tau < 0:
         raise ConfigError("tau must be non-negative")

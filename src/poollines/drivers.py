@@ -8,14 +8,24 @@ stays within the detour budget ``tau`` of the baseline drive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, TravelModel, drive_seconds, haversine_km, road_km
+from .geo import EARTH_RADIUS_KM, GeoPoint, TravelModel, drive_seconds, haversine_km, road_km
 from .gtfs import ROUTE_TYPE_SUBWAY, Stop, Timetable
 
 DEFAULT_TAU = 0.15
 DEFAULT_DWELL_S = 60
+
+# Most distances held at once by MeetingPointSet.nearest_many: query
+# points are taken in blocks of about this many (point, stop) pairs.
+_NEAREST_BLOCK_CELLS = 1 << 16
+# Stops whose vectorised distance is this close to the block minimum are
+# re-ranked with the scalar haversine, so rounding differences between
+# numpy and math cannot change which stop wins.
+_NEAREST_REL_TOL = 1e-9
 
 
 class EmptyMeetingPointSet(Exception):
@@ -91,11 +101,46 @@ class MeetingPointSet:
             raise EmptyMeetingPointSet("meeting point set is empty")
 
     def nearest(self, point: GeoPoint) -> Stop:
-        """The stop closest to ``point`` by great-circle distance.
+        """The stop closest to ``point``; see :meth:`nearest_many`."""
+        return self.nearest_many([point])[0]
 
-        Distance ties resolve to the smaller stop_id.
+    def nearest_many(self, points: Sequence[GeoPoint]) -> list[Stop]:
+        """For each point, the stop closest to it by great-circle distance.
+
+        Distance ties resolve to the smaller stop_id.  The answer is the
+        scalar rule ``min(stops, key=(haversine_km, stop_id))``: one numpy
+        pass over blocks of points finds the nearest distance, and the
+        stops within a relative 1e-9 of it are ranked by that rule.
         """
-        return min(self.stops, key=lambda s: (haversine_km(point, s.position), s.stop_id))
+        by_id, lat_r, lon_r = self._by_id
+        out: list[Stop] = []
+        block = max(1, _NEAREST_BLOCK_CELLS // len(by_id))
+        for start in range(0, len(points), block):
+            chunk = points[start:start + block]
+            plat = np.radians(np.array([p.lat for p in chunk]))[:, None]
+            plon = np.radians(np.array([p.lon for p in chunk]))[:, None]
+            h = (
+                np.sin((lat_r - plat) / 2.0) ** 2
+                + np.cos(plat) * np.cos(lat_r) * np.sin((lon_r - plon) / 2.0) ** 2
+            )
+            dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+            near = dist <= dist.min(axis=1, keepdims=True) * (1.0 + _NEAREST_REL_TOL)
+            first = np.argmax(near, axis=1)
+            for row in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+                first[row] = min(
+                    np.flatnonzero(near[row]).tolist(),
+                    key=lambda k: (haversine_km(chunk[row], by_id[k].position), k),
+                )
+            out.extend(by_id[k] for k in first.tolist())
+        return out
+
+    @cached_property
+    def _by_id(self) -> tuple[tuple[Stop, ...], np.ndarray, np.ndarray]:
+        """The stops sorted by stop_id, with their radian coordinates."""
+        by_id = tuple(sorted(self.stops, key=lambda s: s.stop_id))
+        lat_r = np.radians(np.array([s.position.lat for s in by_id]))
+        lon_r = np.radians(np.array([s.position.lon for s in by_id]))
+        return by_id, lat_r, lon_r
 
 
 def select_meeting_points(
@@ -159,13 +204,25 @@ def compute_driver_journey(
     """
     if rng is None:
         rng = np.random.default_rng()
+    near_origin, near_destination = points.nearest_many([driver.origin, driver.destination])
+    return _journey(driver, near_origin, near_destination, model, tau, dwell_s, rng)
+
+
+def _journey(
+    driver: Driver,
+    near_origin: Stop,
+    near_destination: Stop,
+    model: TravelModel,
+    tau: float,
+    dwell_s: int,
+    rng: np.random.Generator,
+) -> DriverJourney:
+    """:func:`compute_driver_journey` given the two candidate meeting points."""
     baseline = road_km(driver.origin, driver.destination, model)
     locations = [driver.origin, driver.destination]
     refs: list[str | None] = [None, None]
 
     if baseline > 0:
-        near_origin = points.nearest(driver.origin)
-        near_destination = points.nearest(driver.destination)
         origin_first = bool(rng.random() < 0.5)
         sides = ("origin", "destination") if origin_first else ("destination", "origin")
         if near_origin.stop_id == near_destination.stop_id:
@@ -197,13 +254,13 @@ def compute_driver_journeys(
     """Journeys for a batch of drivers, one independent stream per driver.
 
     Each driver draws from ``default_rng([seed, driver_id])`` so results
-    do not depend on iteration order.
+    do not depend on iteration order.  The nearest meeting points of all
+    origins and destinations are found in one :meth:`~MeetingPointSet.nearest_many`.
     """
+    near = points.nearest_many([d.origin for d in drivers] + [d.destination for d in drivers])
     return [
-        compute_driver_journey(
-            d, points, model, tau, dwell_s, np.random.default_rng([seed, d.driver_id])
-        )
-        for d in drivers
+        _journey(d, o, e, model, tau, dwell_s, np.random.default_rng([seed, d.driver_id]))
+        for d, o, e in zip(drivers, near, near[len(drivers):])
     ]
 
 

@@ -14,6 +14,7 @@ import zipfile
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
 from pathlib import Path
+from typing import Iterator
 
 from .geo import GeoPoint
 
@@ -174,6 +175,15 @@ def service_active(t: Timetable, service_id: str, service_date: str | _date) -> 
     return active
 
 
+def _trips_on(
+    t: Timetable, trips: dict[str, Trip], service_date: str | _date
+) -> dict[str, Trip]:
+    """The trips whose service runs on the date, each service evaluated once."""
+    services = dict.fromkeys(trip.service_id for trip in trips.values())
+    active = {sid for sid in services if service_active(t, sid, service_date)}
+    return {trip_id: trip for trip_id, trip in trips.items() if trip.service_id in active}
+
+
 class _FeedSource:
     """Uniform access to a feed stored as a directory or a .zip archive."""
 
@@ -206,96 +216,145 @@ class _FeedSource:
             self._zip.close()
 
 
-def _rows(source: _FeedSource, name: str, required: bool) -> list[tuple[int, dict[str, str]]]:
-    raw = source.read_bytes(name)
-    if raw is None:
-        if required:
+class _Table:
+    """One feed table read with ``csv.reader`` and a header → column-index map.
+
+    ``rows()`` yields each data row with the physical line it ends on
+    (a quoted cell may span lines); blank lines are skipped.  A column
+    the header lacks, or a row too short to reach, reads as "".  A
+    header name is stripped; a repeated one means its last column.
+    """
+
+    def __init__(self, source: _FeedSource, name: str, required: bool):
+        self.name = name
+        raw = source.read_bytes(name)
+        if raw is None and required:
             raise MissingFile(name)
-        return []
-    text = raw.decode("utf-8-sig")
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        cleaned = {
-            (k.strip() if k else k): (v.strip() if isinstance(v, str) else v)
-            for k, v in row.items()
-            if k is not None
-        }
-        out.append((reader.line_num, cleaned))
-    return out
+        self._reader = csv.reader(io.StringIO(raw.decode("utf-8-sig") if raw else ""))
+        header = next(self._reader, [])
+        self.width = len(header)
+        self.columns = {key.strip(): i for i, key in enumerate(header)}
 
+    def rows(self) -> Iterator[tuple[int, list[str]]]:
+        reader = self._reader
+        for row in reader:
+            if row:
+                yield reader.line_num, row
 
-def _need(row: dict[str, str], key: str, name: str, line: int) -> str:
-    value = row.get(key)
-    if value is None or value == "":
-        raise MalformedRow(name, line, f"missing value for {key!r}")
-    return value
+    def get(self, row: list[str], key: str) -> str:
+        i = self.columns.get(key, self.width)
+        return row[i].strip() if i < len(row) else ""
+
+    def need(self, row: list[str], key: str, line: int) -> str:
+        value = self.get(row, key)
+        if value == "":
+            raise MalformedRow(self.name, line, f"missing value for {key!r}")
+        return value
 
 
 def _parse_stops(source: _FeedSource) -> dict[str, Stop]:
     stops: dict[str, Stop] = {}
-    for line, row in _rows(source, "stops.txt", required=True):
-        stop_id = _need(row, "stop_id", "stops.txt", line)
+    table = _Table(source, "stops.txt", required=True)
+    for line, row in table.rows():
+        stop_id = table.need(row, "stop_id", line)
         if stop_id in stops:
             raise MalformedRow("stops.txt", line, f"duplicate stop_id {stop_id!r}")
         try:
-            lat = float(_need(row, "stop_lat", "stops.txt", line))
-            lon = float(_need(row, "stop_lon", "stops.txt", line))
+            lat = float(table.need(row, "stop_lat", line))
+            lon = float(table.need(row, "stop_lon", line))
             position = GeoPoint(lat, lon)
         except ValueError as exc:
             raise MalformedRow("stops.txt", line, str(exc)) from None
-        stops[stop_id] = Stop(stop_id, row.get("stop_name", ""), position)
+        stops[stop_id] = Stop(stop_id, table.get(row, "stop_name"), position)
     return stops
 
 
 def _parse_routes(source: _FeedSource) -> dict[str, Route]:
     routes: dict[str, Route] = {}
-    for line, row in _rows(source, "routes.txt", required=True):
-        route_id = _need(row, "route_id", "routes.txt", line)
+    table = _Table(source, "routes.txt", required=True)
+    for line, row in table.rows():
+        route_id = table.need(row, "route_id", line)
         if route_id in routes:
             raise MalformedRow("routes.txt", line, f"duplicate route_id {route_id!r}")
         try:
-            route_type = int(_need(row, "route_type", "routes.txt", line))
+            route_type = int(table.need(row, "route_type", line))
         except ValueError:
             raise MalformedRow("routes.txt", line, "route_type is not an integer") from None
-        name = row.get("route_long_name") or row.get("route_short_name") or ""
+        name = table.get(row, "route_long_name") or table.get(row, "route_short_name")
         routes[route_id] = Route(route_id, name, route_type)
     return routes
 
 
 def _parse_trips(source: _FeedSource, routes: dict[str, Route]) -> dict[str, Trip]:
     trips: dict[str, Trip] = {}
-    for line, row in _rows(source, "trips.txt", required=True):
-        trip_id = _need(row, "trip_id", "trips.txt", line)
+    table = _Table(source, "trips.txt", required=True)
+    for line, row in table.rows():
+        trip_id = table.need(row, "trip_id", line)
         if trip_id in trips:
             raise MalformedRow("trips.txt", line, f"duplicate trip_id {trip_id!r}")
-        route_id = _need(row, "route_id", "trips.txt", line)
+        route_id = table.need(row, "route_id", line)
         if route_id not in routes:
             raise DanglingReference("trips.txt", line, route_id)
-        trips[trip_id] = Trip(trip_id, route_id, row.get("service_id", ""))
+        trips[trip_id] = Trip(trip_id, route_id, table.get(row, "service_id"))
     return trips
 
 
 def _parse_stoptimes(
     source: _FeedSource,
     stops: dict[str, Stop],
-    known_trips: set[str],
-    kept_trips: set[str],
+    known_trips: dict[str, Trip],
+    kept_trips: dict[str, Trip],
 ) -> dict[str, list[tuple[int, GtfsStopTime]]]:
-    grouped: dict[str, list[tuple[int, GtfsStopTime]]] = {}
-    for line, row in _rows(source, "stop_times.txt", required=True):
-        trip_id = _need(row, "trip_id", "stop_times.txt", line)
-        if trip_id not in known_trips:
+    """Stoptimes of the kept trips, grouped by trip, each with its line.
+
+    Every row is checked, kept or not.  A row whose cells were all seen
+    before is read with four dict lookups: ids map to the feed's own
+    strings, and each distinct time text is parsed once.  Any other row
+    goes through every check in order, so a fault reports the same
+    reason whichever row it first appears on.
+    """
+    table = _Table(source, "stop_times.txt", required=True)
+    columns = [
+        table.columns.get(key, table.width)
+        for key in ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
+    ]
+    i_trip, i_stop, i_arr, i_dep, i_seq = columns
+    width = max(columns) + 1
+    trip_ids = {k: k for k in known_trips}
+    stop_ids = {k: k for k in stops}
+    seconds: dict[str, int] = {}
+
+    def checked(row: list[str], line: int) -> tuple[str, str, int, int, int]:
+        trip_id = table.need(row, "trip_id", line)
+        if trip_id not in trip_ids:
             raise DanglingReference("stop_times.txt", line, trip_id)
-        stop_id = _need(row, "stop_id", "stop_times.txt", line)
-        if stop_id not in stops:
+        stop_id = table.need(row, "stop_id", line)
+        if stop_id not in stop_ids:
             raise DanglingReference("stop_times.txt", line, stop_id)
         try:
-            arrival = parse_gtfs_time(_need(row, "arrival_time", "stop_times.txt", line))
-            departure = parse_gtfs_time(_need(row, "departure_time", "stop_times.txt", line))
-            sequence = int(_need(row, "stop_sequence", "stop_times.txt", line))
+            arrival = parse_gtfs_time(table.need(row, "arrival_time", line))
+            departure = parse_gtfs_time(table.need(row, "departure_time", line))
+            sequence = int(table.need(row, "stop_sequence", line))
         except ValueError as exc:
             raise MalformedRow("stop_times.txt", line, str(exc)) from None
+        seconds[row[i_arr]] = arrival
+        seconds[row[i_dep]] = departure
+        return trip_ids[trip_id], stop_ids[stop_id], arrival, departure, sequence
+
+    grouped: dict[str, list[tuple[int, GtfsStopTime]]] = {}
+    for line, row in table.rows():
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        trip_id = trip_ids.get(row[i_trip])
+        stop_id = stop_ids.get(row[i_stop])
+        arrival = seconds.get(row[i_arr])
+        departure = seconds.get(row[i_dep])
+        try:
+            sequence = int(row[i_seq])  # int() ignores the padding strip() would remove
+        except ValueError:
+            sequence = None
+        if None in (trip_id, stop_id, arrival, departure, sequence):
+            trip_id, stop_id, arrival, departure, sequence = checked(row, line)
         if departure < arrival:
             raise MalformedRow("stop_times.txt", line, "departure before arrival")
         if trip_id not in kept_trips:
@@ -332,12 +391,13 @@ def _order_stoptimes(
 
 def _parse_calendar(source: _FeedSource) -> tuple[CalendarRow, ...]:
     out = []
-    for line, row in _rows(source, "calendar.txt", required=False):
-        service_id = _need(row, "service_id", "calendar.txt", line)
+    table = _Table(source, "calendar.txt", required=False)
+    for line, row in table.rows():
+        service_id = table.need(row, "service_id", line)
         try:
-            weekdays = tuple(int(_need(row, c, "calendar.txt", line)) for c in _WEEKDAY_COLUMNS)
-            start = int(_need(row, "start_date", "calendar.txt", line))
-            end = int(_need(row, "end_date", "calendar.txt", line))
+            weekdays = tuple(int(table.need(row, c, line)) for c in _WEEKDAY_COLUMNS)
+            start = int(table.need(row, "start_date", line))
+            end = int(table.need(row, "end_date", line))
         except ValueError as exc:
             raise MalformedRow("calendar.txt", line, str(exc)) from None
         out.append(CalendarRow(service_id, weekdays, start, end))
@@ -346,11 +406,12 @@ def _parse_calendar(source: _FeedSource) -> tuple[CalendarRow, ...]:
 
 def _parse_calendar_dates(source: _FeedSource) -> tuple[CalendarDateRow, ...]:
     out = []
-    for line, row in _rows(source, "calendar_dates.txt", required=False):
-        service_id = _need(row, "service_id", "calendar_dates.txt", line)
+    table = _Table(source, "calendar_dates.txt", required=False)
+    for line, row in table.rows():
+        service_id = table.need(row, "service_id", line)
         try:
-            day = int(_need(row, "date", "calendar_dates.txt", line))
-            kind = int(_need(row, "exception_type", "calendar_dates.txt", line))
+            day = int(table.need(row, "date", line))
+            kind = int(table.need(row, "exception_type", line))
         except ValueError as exc:
             raise MalformedRow("calendar_dates.txt", line, str(exc)) from None
         if kind not in (1, 2):
@@ -375,16 +436,12 @@ def parse_gtfs(path: str | Path, service_date: str | _date | None = None) -> Tim
         calendar = _parse_calendar(source)
         calendar_dates = _parse_calendar_dates(source)
 
-        partial = Timetable(calendar=calendar, calendar_dates=calendar_dates)
         if service_date is None:
             kept = dict(trips)
         else:
-            kept = {
-                trip_id: trip
-                for trip_id, trip in trips.items()
-                if service_active(partial, trip.service_id, service_date)
-            }
-        grouped = _parse_stoptimes(source, stops, set(trips), set(kept))
+            partial = Timetable(calendar=calendar, calendar_dates=calendar_dates)
+            kept = _trips_on(partial, trips, service_date)
+        grouped = _parse_stoptimes(source, stops, trips, kept)
         stoptimes = _order_stoptimes(grouped)
         for trip_id in kept:
             stoptimes.setdefault(trip_id, ())
@@ -492,11 +549,7 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
 
 def with_service_date(t: Timetable, service_date: str | _date) -> Timetable:
     """Return a copy keeping only trips active on the date."""
-    kept = {
-        trip_id: trip
-        for trip_id, trip in t.trips.items()
-        if service_active(t, trip.service_id, service_date)
-    }
+    kept = _trips_on(t, t.trips, service_date)
     return replace(
         t,
         trips=kept,

@@ -106,8 +106,9 @@ class FootpathSet:
 
     ``stop_ids`` fixes the stop indexing; for source stop i the targets
     are ``targets[starts[i]:starts[i+1]]``, sorted, with matching walk
-    seconds and kilometres.  :func:`build_footpaths` returns a symmetric
-    set; a :class:`Planner` keeps only the links its scan can read.
+    seconds and kilometres.  :func:`build_footpaths` without masks
+    returns a symmetric set; with masks, and in a :class:`Planner`, only
+    the links a scan can read.
     """
 
     stop_ids: tuple[str, ...]
@@ -134,14 +135,22 @@ def _walk_seconds_vec(road: np.ndarray, model: TravelModel) -> np.ndarray:
 
 
 def build_footpaths(
-    t: Timetable, model: TravelModel, max_walk_km: float = DEFAULT_MAX_WALK_KM
+    t: Timetable,
+    model: TravelModel,
+    max_walk_km: float = DEFAULT_MAX_WALK_KM,
+    sources: np.ndarray | None = None,
+    targets: np.ndarray | None = None,
 ) -> FootpathSet:
-    """Walking links between every pair of stops within the road-km cap.
+    """Walking links between pairs of stops within the road-km cap.
 
     A KD-tree over a local flat projection prefilters candidates with a
     safety margin; exact great-circle distances make the final cut, so
-    the result is identical to the quadratic scan.  Both directions of
-    every pair are kept.
+    the result is identical to the quadratic scan.  Without masks both
+    directions of every pair are kept.  ``sources`` and ``targets`` are
+    boolean masks over the sorted stop ids: only links from a flagged
+    source to a flagged target are built, and the result equals
+    ``build_footpaths(t, model, max_walk_km).restricted(sources, targets)``
+    bit for bit.
     """
     stop_ids = tuple(sorted(t.stops))
     n = len(stop_ids)
@@ -162,6 +171,13 @@ def build_footpaths(
     pairs = cKDTree(xy).query_pairs(r=radius * 1.05 + 0.01, output_type="ndarray")
     a = pairs[:, 0].astype(np.int64)
     b = pairs[:, 1].astype(np.int64)
+    everywhere = np.ones(n, dtype=bool)
+    sources = everywhere if sources is None else sources
+    targets = everywhere if targets is None else targets
+    forward = sources[a] & targets[b]
+    backward = sources[b] & targets[a]
+    used = forward | backward
+    a, b, forward, backward = a[used], b[used], forward[used], backward[used]
     h = (
         np.sin((lat_r[b] - lat_r[a]) / 2.0) ** 2
         + np.cos(lat_r[a]) * np.cos(lat_r[b]) * np.sin((lon_r[b] - lon_r[a]) / 2.0) ** 2
@@ -170,19 +186,20 @@ def build_footpaths(
     road = model.circuity * hav
     keep = road <= max_walk_km
     a, b, road = a[keep], b[keep], road[keep]
+    forward, backward = forward[keep], backward[keep]
     # Through int64, so a zero-length link gets 0.0 seconds, not ceil's -0.0.
     secs = _walk_seconds_vec(road, model).astype(np.int64).astype(np.float64)
 
-    source = np.concatenate((a, b))
-    target = np.concatenate((b, a))
+    source = np.concatenate((a[forward], b[backward]))
+    target = np.concatenate((b[forward], a[backward]))
     order = np.lexsort((target, source))
     starts[1:] = np.cumsum(np.bincount(source, minlength=n))
     return FootpathSet(
         stop_ids,
         starts,
         target[order],
-        np.concatenate((secs, secs))[order],
-        np.concatenate((road, road))[order],
+        np.concatenate((secs[forward], secs[backward]))[order],
+        np.concatenate((road[forward], road[backward]))[order],
     )
 
 
@@ -191,8 +208,10 @@ class Planner:
 
     ``footpaths`` holds only the links the scan can read: from a stop
     where some connection arrives to a stop where some connection
-    departs.  It is therefore not symmetric.  A ``footpaths`` argument
-    is restricted the same way.
+    departs.  It is therefore not symmetric.  The planner sorts its
+    connections first and then builds just those links with
+    :func:`build_footpaths`; a ``footpaths`` argument is cut down to
+    them with :meth:`FootpathSet.restricted`.
     """
 
     def __init__(
@@ -207,10 +226,10 @@ class Planner:
         self.model = model
         self.max_walk_km = max_walk_km
         self.transfer_s = transfer_s
-        if footpaths is None:
-            footpaths = build_footpaths(timetable, model, max_walk_km)
 
-        self._stop_ids = footpaths.stop_ids
+        self._stop_ids = (
+            tuple(sorted(timetable.stops)) if footpaths is None else footpaths.stop_ids
+        )
         self._stop_index = {sid: i for i, sid in enumerate(self._stop_ids)}
         self._positions = [timetable.stops[sid].position for sid in self._stop_ids]
         self._lat_r = np.radians(np.array([p.lat for p in self._positions]))
@@ -219,17 +238,12 @@ class Planner:
         self._trip_ids: list[str] = []
         self._trip_index: dict[str, int] = {}
         self._pool_flags: list[bool] = []
-
-        dep_s: list[int] = []
-        dep_t: list[int] = []
-        arr_s: list[int] = []
-        arr_t: list[int] = []
-        c_trip: list[int] = []
-        c_pos: list[int] = []
         self._trip_cum_km: list[list[float]] = []
-        self._trip_conns: list[list[int]] = []
 
-        order: list[tuple[int, int, int, int]] = []
+        # One row per hop, trip by trip: departure time, arrival time,
+        # trip, position in the trip, departure stop, arrival stop.
+        columns: tuple[list[int], ...] = ([], [], [], [], [], [])
+        dep_t, arr_t, c_trip, c_pos, dep_s, arr_s = columns
         for trip_id in sorted(timetable.stoptimes):
             sts = timetable.stoptimes[trip_id]
             if len(sts) < 2:
@@ -238,52 +252,55 @@ class Planner:
             self._trip_ids.append(trip_id)
             self._trip_index[trip_id] = ti
             self._pool_flags.append(is_poolline_trip(trip_id))
+            stops = [self._stop_index[st.stop_id] for st in sts]
             cum = [0.0]
-            for a, b in zip(sts, sts[1:]):
-                pa = timetable.stops[a.stop_id].position
-                pb = timetable.stops[b.stop_id].position
-                cum.append(cum[-1] + road_km(pa, pb, model))
+            for a, b in zip(stops, stops[1:]):
+                cum.append(cum[-1] + road_km(self._positions[a], self._positions[b], model))
             self._trip_cum_km.append(cum)
-            self._trip_conns.append([])
-            for pos, (a, b) in enumerate(zip(sts, sts[1:])):
-                order.append((a.departure, b.arrival, ti, pos))
+            hops = len(sts) - 1
+            dep_t.extend([st.departure for st in sts[:-1]])
+            arr_t.extend([st.arrival for st in sts[1:]])
+            c_trip.extend([ti] * hops)
+            c_pos.extend(range(hops))
+            dep_s.extend(stops[:-1])
+            arr_s.extend(stops[1:])
 
-        order.sort()
-        for departure, arrival, ti, pos in order:
-            sts = timetable.stoptimes[self._trip_ids[ti]]
-            ci = len(dep_t)
-            dep_s.append(self._stop_index[sts[pos].stop_id])
-            dep_t.append(departure)
-            arr_s.append(self._stop_index[sts[pos + 1].stop_id])
-            arr_t.append(arrival)
-            c_trip.append(ti)
-            c_pos.append(pos)
-            self._trip_conns[ti].append(ci)
-
-        self._c_dep_s = dep_s
-        self._c_dep_t = dep_t
-        self._c_arr_s = arr_s
-        self._c_arr_t = arr_t
-        self._c_trip = c_trip
-        self._c_pos = c_pos
+        # Scan order: by departure, then arrival, trip and position.  A hop
+        # is unique by (trip, position), so this is the order of a sort of
+        # the (departure, arrival, trip, position) tuples.
+        dep_t, arr_t, c_trip, c_pos, dep_s, arr_s = (
+            np.array(column, dtype=np.int64) for column in columns
+        )
+        order = np.lexsort((c_pos, c_trip, arr_t, dep_t))
+        dep_t, arr_t, c_trip, c_pos, dep_s, arr_s = (
+            key[order] for key in (dep_t, arr_t, c_trip, c_pos, dep_s, arr_s)
+        )
+        self._c_dep_t = dep_t.tolist()
+        self._c_arr_t = arr_t.tolist()
+        self._c_trip = c_trip.tolist()
+        self._c_pos = c_pos.tolist()
+        self._c_dep_s = dep_s.tolist()
+        self._c_arr_s = arr_s.tolist()
 
         # Per mode, the connections it may use, in scan order, and their
         # departure times.
-        dep_times = np.array(dep_t, dtype=np.int64)
-        pool = np.array(self._pool_flags, dtype=bool)[np.array(c_trip, dtype=np.int64)]
+        pool = np.array(self._pool_flags, dtype=bool)[c_trip]
         no_pool = np.flatnonzero(~pool)
         pool_only = np.flatnonzero(pool)
         self._mode_conns = {
-            PlanMode.TRANSIT: (range(len(dep_t)), dep_times),
-            PlanMode.TRANSIT_NO_POOL: (no_pool.tolist(), dep_times[no_pool]),
-            PlanMode.POOL_ONLY: (pool_only.tolist(), dep_times[pool_only]),
+            PlanMode.TRANSIT: (range(len(dep_t)), dep_t),
+            PlanMode.TRANSIT_NO_POOL: (no_pool.tolist(), dep_t[no_pool]),
+            PlanMode.POOL_ONLY: (pool_only.tolist(), dep_t[pool_only]),
         }
 
         arriving = np.zeros(len(self._stop_ids), dtype=bool)
         arriving[arr_s] = True
         departing = np.zeros(len(self._stop_ids), dtype=bool)
         departing[dep_s] = True
-        self.footpaths = footpaths.restricted(arriving, departing)
+        if footpaths is None:
+            self.footpaths = build_footpaths(timetable, model, max_walk_km, arriving, departing)
+        else:
+            self.footpaths = footpaths.restricted(arriving, departing)
 
     # ---- helpers ----------------------------------------------------
 

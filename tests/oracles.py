@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from poollines.geo import EARTH_RADIUS_KM, GeoPoint, TravelModel
+from poollines.geo import EARTH_RADIUS_KM, GeoPoint, TravelModel, haversine_km
 from poollines.gtfs import (
     CalendarRow,
     GtfsStopTime,
@@ -43,6 +43,12 @@ def reference_haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     )
     x = math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(dl)
     return SPHERE_RADIUS_KM * math.atan2(y, x)
+
+
+def reference_nearest(stops, point: GeoPoint) -> Stop:
+    """The meeting-point rule as a scalar scan: the stop at the smallest
+    great-circle distance, the smaller stop_id on a tie."""
+    return min(stops, key=lambda s: (haversine_km(point, s.position), s.stop_id))
 
 
 def reference_road_km(a: GeoPoint, b: GeoPoint, model: TravelModel) -> float:

@@ -225,10 +225,29 @@ _SMALL_SCENARIO = {
         ({"rules": {"walk_time_bound": 0}}, "rules.walk_time_bound"),
         ({"travel": {"walk_speed_kmh": "5"}}, "travel.walk_speed_kmh"),
         ({"emissions": {"grams_per_km": None}}, "emissions.grams_per_km"),
+        # Integer keys take JSON integers only, not fractions, booleans or strings.
+        ({"seat_capacity": 2.7}, "seat_capacity"),
+        ({"workers": True}, "workers"),
+        ({"scenario": {**_SMALL_SCENARIO, "driver_count": 20.9}}, "scenario.driver_count"),
+        ({"seed": "5"}, "seed"),
+        ({"dwell_s": 60.0}, "dwell_s"),
+        ({"transfer_s": False}, "transfer_s"),
+        ({"num_itineraries": "3"}, "num_itineraries"),
+        ({"scenario": {**_SMALL_SCENARIO, "rider_count": True}}, "scenario.rider_count"),
+        ({"meeting_point_route_types": [1.0]}, "meeting_point_route_types"),
+        ({"meeting_point_route_types": [True]}, "meeting_point_route_types"),
+        ({"meeting_point_route_types": 1}, "meeting_point_route_types"),
+        # Float keys take finite numbers only.
+        ({"tau": "0.2"}, "tau"),
+        ({"max_walk_km": True}, "max_walk_km"),
+        ({"max_walk_km": float("inf")}, "max_walk_km"),
+        ({"scenario": {**_SMALL_SCENARIO, "driver_density": "1"}}, "scenario.driver_density"),
+        ({"scenario": {**_SMALL_SCENARIO, "rider_density": False}}, "scenario.rider_density"),
+        ({"scenario": {**_SMALL_SCENARIO, "area_km2": "400"}}, "scenario.area_km2"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, bad, key):
-    cfg = _write_config(tmp_path / "config.json", seed=7, scenario=_SMALL_SCENARIO, **bad)
+    cfg = _write_config(tmp_path / "config.json", **{"seed": 7, "scenario": _SMALL_SCENARIO, **bad})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from poollines import drivers
 from poollines.drivers import (
     Driver,
     DriverJourney,
@@ -15,7 +20,7 @@ from poollines.drivers import (
 from poollines.geo import GeoPoint, TravelModel
 from poollines.gtfs import GtfsStopTime, Route, Stop, Timetable, Trip
 
-from oracles import reference_path_km, reference_road_km
+from oracles import reference_nearest, reference_path_km, reference_road_km
 
 MODEL = TravelModel()
 
@@ -167,6 +172,69 @@ def test_batch_is_order_independent():
 def test_nearest_breaks_ties_by_stop_id():
     points = _points(("B", 0.0, 0.01), ("A", 0.0, -0.01))
     assert points.nearest(GeoPoint(0.0, 0.0)).stop_id == "A"
+
+
+@st.composite
+def _nearest_cases(draw):
+    """Meeting points in a 5 km box, listed out of stop_id order, some at
+    one position (exact ties); query points anywhere in and around the
+    box, some on a stop and some at the midpoint of two stops."""
+    box = st.tuples(st.floats(45.0, 45.045), st.floats(-122.3, -122.236))
+    positions = draw(st.lists(box, min_size=1, max_size=25))
+    positions += draw(st.lists(st.sampled_from(positions), max_size=5))
+    ids = draw(st.permutations([f"M{k:02d}" for k in range(len(positions))]))
+    stops = tuple(Stop(sid, "m", GeoPoint(lat, lon)) for sid, (lat, lon) in zip(ids, positions))
+    queries = draw(st.lists(st.tuples(st.floats(44.99, 45.055), st.floats(-122.31, -122.226)), max_size=30))
+    queries += draw(st.lists(st.sampled_from(positions), max_size=5))
+    pairs = st.tuples(st.sampled_from(positions), st.sampled_from(positions))
+    queries += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in draw(st.lists(pairs, max_size=5))]
+    return stops, [GeoPoint(lat, lon) for lat, lon in queries]
+
+
+@settings(deadline=None)
+@given(case=_nearest_cases(), block_cells=st.sampled_from([1, 7, 1 << 16]))
+# Two stops mirrored about the query point: an exact distance tie.
+@example(
+    case=(
+        (Stop("B", "b", GeoPoint(0.0, 0.01)), Stop("A", "a", GeoPoint(0.0, -0.01))),
+        [GeoPoint(0.0, 0.0)],
+    ),
+    block_cells=1,
+)
+# Far apart, numpy's arcsin and math.asin round differently: here the scalar
+# distances tie (so "A" wins) while the vectorised ones put "B" 1 ulp nearer.
+@example(
+    case=(
+        (Stop("B", "b", GeoPoint(6.983778291519333, 10.0)), Stop("A", "a", GeoPoint(-6.983778291519334, 10.0))),
+        [GeoPoint(0.0, 10.0)],
+    ),
+    block_cells=1 << 16,
+)
+def test_nearest_many_equals_the_scalar_rule(case, block_cells):
+    stops, queries = case
+    points = MeetingPointSet(stops)
+    with mock.patch.object(drivers, "_NEAREST_BLOCK_CELLS", block_cells):
+        got = points.nearest_many(queries)
+    assert got == [reference_nearest(stops, q) for q in queries]
+    assert [points.nearest(q) for q in queries] == got
+
+
+def test_batch_equals_one_journey_at_a_time():
+    points = _points(("MO", 0.0135, 0.0125), ("MD", 0.0135, 0.0575), ("MX", -0.01, 0.03))
+    rng = np.random.default_rng(8)
+    batch = [
+        _driver(
+            driver_id=i,
+            origin=GeoPoint(float(rng.uniform(-0.02, 0.02)), float(rng.uniform(-0.01, 0.03))),
+            destination=GeoPoint(float(rng.uniform(-0.02, 0.02)), float(rng.uniform(0.04, 0.08))),
+        )
+        for i in range(60)
+    ]
+    batch.append(_driver(driver_id=60, destination=ORG))  # no drive, no coin
+    assert compute_driver_journeys(batch, points, MODEL, seed=3) == [
+        compute_driver_journey(d, points, MODEL, rng=np.random.default_rng([3, d.driver_id]))
+        for d in batch
+    ]
 
 
 def test_meeting_points_come_from_rapid_transit_stops():

@@ -344,3 +344,191 @@ def test_with_service_date_matches_filtered_parse(tmp_path):
     assert _timetables_equal(
         with_service_date(t, "2022-07-23"), parse_gtfs(tmp_path / "feed", "2022-07-23")
     )
+
+
+def test_service_date_filter_evaluates_each_service_once(tmp_path, monkeypatch):
+    t = _tiny_timetable()
+    trips = {
+        f"T{i:03d}": Trip(f"T{i:03d}", "R1", "WEEKDAYS" if i % 2 else "WEEKENDS")
+        for i in range(200)
+    }
+    stoptimes = {
+        trip_id: tuple(GtfsStopTime(trip_id, st.stop_id, st.arrival, st.departure, st.stop_sequence)
+                       for st in t.stoptimes["X1"])
+        for trip_id in trips
+    }
+    calendar = t.calendar + (CalendarRow("WEEKENDS", (0, 0, 0, 0, 0, 1, 1), 20220101, 20221231),)
+    feed = Timetable(t.stops, t.routes, trips, stoptimes, calendar, (), {})
+    write_gtfs(feed, tmp_path / "feed")
+
+    calls = []
+
+    def counting(timetable, service_id, service_date):
+        calls.append(service_id)
+        return service_active(timetable, service_id, service_date)
+
+    monkeypatch.setattr("poollines.gtfs.service_active", counting)
+    filtered = with_service_date(feed, "2022-07-20")
+    assert sorted(calls) == ["WEEKDAYS", "WEEKENDS"]
+    calls.clear()
+    parsed = parse_gtfs(tmp_path / "feed", "2022-07-20")
+    assert sorted(calls) == ["WEEKDAYS", "WEEKENDS"]
+    assert list(filtered.trips) == list(parsed.trips) == [f"T{i:03d}" for i in range(1, 200, 2)]
+    assert filtered.stoptimes == parsed.stoptimes
+
+
+# ---- the feed reader: exact messages and physical line numbers ------
+
+_ST_HEADER = "trip_id,arrival_time,departure_time,stop_id,stop_sequence"
+_ST_ROWS = ("X1,08:00:00,08:00:00,A,0", "X1,08:03:20,08:04:20,B,1", "X1,08:08:20,08:08:20,C,2")
+
+
+def _feed_with(tmp_path, name: str, text: str) -> Path:
+    """The tiny feed with one file replaced by ``text`` (written as UTF-8 bytes)."""
+    write_gtfs(_tiny_timetable(), tmp_path / "feed")
+    (tmp_path / "feed" / name).write_bytes(text.encode("utf-8"))
+    return tmp_path / "feed"
+
+
+def _stop_times(*rows: str, header: str = _ST_HEADER, end: str = "\n") -> str:
+    return end.join((header, *rows)) + end
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            _stop_times("X1,08:00:00,08:00:00,A", header="trip_id,arrival_time,departure_time,stop_id"),
+            "stop_times.txt:2: missing value for 'stop_sequence'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], "X1,08:03:20,08:04:20,,1", _ST_ROWS[2]),
+            "stop_times.txt:3: missing value for 'stop_id'",
+        ),
+        (
+            _stop_times(*_ST_ROWS, "ZZ,08:00:00,08:00:00,A,0"),
+            "stop_times.txt:5: reference to unknown id 'ZZ'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], "X1,08:03:20,08:04:20,NOWHERE,1", _ST_ROWS[2]),
+            "stop_times.txt:3: reference to unknown id 'NOWHERE'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], "X1,08:61:00,08:61:00,B,1", _ST_ROWS[2]),
+            "stop_times.txt:3: bad GTFS time: '08:61:00'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], "X1,08:03:20,08:04:20,B,1.5", _ST_ROWS[2]),
+            "stop_times.txt:3: invalid literal for int() with base 10: '1.5'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], "X1,08:03:20,08:02:00,B,1", _ST_ROWS[2]),
+            "stop_times.txt:3: departure before arrival",
+        ),
+        # A known time text on one row does not hide a bad one on the next.
+        (
+            _stop_times(_ST_ROWS[0], "X1,08:00:00,,B,1", _ST_ROWS[2]),
+            "stop_times.txt:3: missing value for 'departure_time'",
+        ),
+        # Physical lines: a quoted cell over two lines, at the fault and before it.
+        (
+            _stop_times('X1,08:00:00,08:00:00,A,0,"north\nbound"', "X1,08:03:20,08:04:20,NOWHERE,1,x",
+                        header=_ST_HEADER + ",stop_headsign"),
+            "stop_times.txt:4: reference to unknown id 'NOWHERE'",
+        ),
+        (
+            _stop_times('X1,08:00:00,08:00:00,NOWHERE,0,"north\nbound"', header=_ST_HEADER + ",stop_headsign"),
+            "stop_times.txt:3: reference to unknown id 'NOWHERE'",
+        ),
+        (
+            "\ufeff" + _stop_times(_ST_ROWS[0], "X1,08:03:20,08:04:20,NOWHERE,1"),
+            "stop_times.txt:3: reference to unknown id 'NOWHERE'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], "X1,08:03:20,08:04:20,NOWHERE,1", end="\r\n"),
+            "stop_times.txt:3: reference to unknown id 'NOWHERE'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], "", "", "X1,08:03:20,08:04:20,NOWHERE,1"),
+            "stop_times.txt:5: reference to unknown id 'NOWHERE'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], " X1 , 08:03:20 ,08:04:20 , NOWHERE ,1"),
+            "stop_times.txt:3: reference to unknown id 'NOWHERE'",
+        ),
+        (
+            _stop_times(_ST_ROWS[0], "X1,08:03:20,08:04:20,NOWHERE,1,extra,cells"),
+            "stop_times.txt:3: reference to unknown id 'NOWHERE'",
+        ),
+        # Faults found after the rows are grouped keep their row's line.
+        (
+            _stop_times(*_ST_ROWS, "", "X1,08:10:00,08:10:00,A,2"),
+            "stop_times.txt:6: duplicate stop_sequence 2 in trip 'X1'",
+        ),
+    ],
+)
+def test_stop_times_faults_name_file_line_and_reason(tmp_path, text, message):
+    feed = _feed_with(tmp_path, "stop_times.txt", text)
+    with pytest.raises((MalformedRow, DanglingReference)) as err:
+        parse_gtfs(feed)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\ufeff" + _stop_times(*_ST_ROWS),
+        _stop_times(*_ST_ROWS, end="\r\n"),
+        _stop_times(_ST_ROWS[0], "", _ST_ROWS[1], "", "", _ST_ROWS[2]),
+        _stop_times(" X1 , 08:00:00,08:00:00 ,A, 0", " X1,8:03:20 ,08:04:20,B , 1", *_ST_ROWS[2:]),
+        _stop_times(*(row + ",0,1" for row in _ST_ROWS), header=_ST_HEADER + ",pickup_type,drop_off_type"),
+        _stop_times(*(row + ',"two\nlines"' for row in _ST_ROWS), header=_ST_HEADER + ",stop_headsign"),
+        _stop_times(*(row + ",x,y" for row in _ST_ROWS)),
+    ],
+)
+def test_stop_times_layouts_parse_to_the_same_timetable(tmp_path, text):
+    feed = _feed_with(tmp_path, "stop_times.txt", text)
+    assert _timetables_equal(parse_gtfs(feed), _tiny_timetable())
+
+
+def test_faults_in_other_tables_name_file_line_and_reason(tmp_path):
+    cases = [
+        ("stops.txt", "stop_id,stop_name,stop_lat,stop_lon\nA,a,45.0,-122.3\n\nA,b,45.0,-122.3\n",
+         "stops.txt:4: duplicate stop_id 'A'"),
+        ("stops.txt", "stop_id,stop_name,stop_lat,stop_lon\nA,a,north,-122.3\n",
+         "stops.txt:2: could not convert string to float: 'north'"),
+        ("stops.txt", "stop_id,stop_name,stop_lat\nA,a,45.0\n",
+         "stops.txt:2: missing value for 'stop_lon'"),
+        ("routes.txt", "route_id,route_type\r\nR1,tram\r\n",
+         "routes.txt:2: route_type is not an integer"),
+        ("trips.txt", "\ufeffroute_id,service_id,trip_id\nR1,WEEKDAYS,X1\nGHOST,WEEKDAYS,X2\n",
+         "trips.txt:3: reference to unknown id 'GHOST'"),
+        ("calendar.txt",
+         "service_id,monday,tuesday,wednesday,thursday,friday,saturday,sunday,start_date,end_date\n"
+         "WEEKDAYS,1,1,1,1,1,0,0,20220101,\n",
+         "calendar.txt:2: missing value for 'end_date'"),
+        ("calendar_dates.txt", "service_id,date,exception_type\nWEEKDAYS,20220720,3\n",
+         "calendar_dates.txt:2: bad exception_type 3"),
+    ]
+    for i, (name, text, message) in enumerate(cases):
+        feed = _feed_with(tmp_path / str(i), name, text)
+        with pytest.raises((MalformedRow, DanglingReference)) as err:
+            parse_gtfs(feed)
+        assert str(err.value) == message, name
+
+
+def test_short_row_reads_as_blank_cells(tmp_path):
+    # A row shorter than the header reads "" for the cells it lacks, as a
+    # column missing from the header does.
+    short = _feed_with(
+        tmp_path / "short", "stops.txt",
+        "stop_id,stop_lat,stop_lon,stop_name\nA,45.0,-122.3\nB,45.01,-122.29,beta\nC,45.02,-122.28,gamma\n",
+    )
+    stops = parse_gtfs(short).stops
+    assert stops["A"].name == ""
+    assert stops["B"].name == "beta"
+    nameless = _feed_with(
+        tmp_path / "nameless", "stops.txt",
+        "stop_id,stop_lat,stop_lon\nA,45.0,-122.3\nB,45.01,-122.29\nC,45.02,-122.28\n",
+    )
+    assert parse_gtfs(nameless).stops["A"].name == ""

@@ -431,13 +431,68 @@ def _stop_sets(draw):
 @example(stops=_stops([(45.01, -122.29), (45.01, -122.29), (46.5, -119.5)]), cap=2.5)
 def test_footpaths_equal_the_tuple_sort_reference_bit_for_bit(stops, cap):
     t = Timetable(stops, {}, {}, {}, (), (), {})
-    got = build_footpaths(t, MODEL, max_walk_km=cap)
-    want = reference_build_footpaths(t, MODEL, max_walk_km=cap)
+    _assert_bit_identical(
+        build_footpaths(t, MODEL, max_walk_km=cap),
+        reference_build_footpaths(t, MODEL, max_walk_km=cap),
+    )
+
+
+def _assert_bit_identical(got: FootpathSet, want: FootpathSet) -> None:
     assert got.stop_ids == want.stop_ids
     for name in ("starts", "targets", "seconds", "km"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
+
+
+@settings(deadline=None)
+@given(stops=_stop_sets(), cap=st.sampled_from([0.0, 0.4, 2.5]), data=st.data())
+def test_masked_footpaths_equal_the_restricted_full_set_bit_for_bit(stops, cap, data):
+    t = Timetable(stops, {}, {}, {}, (), (), {})
+    masks = st.lists(st.booleans(), min_size=len(stops), max_size=len(stops))
+    sources = np.array(data.draw(masks), dtype=bool)
+    targets = np.array(data.draw(masks), dtype=bool)
+    got = build_footpaths(t, MODEL, cap, sources, targets)
+    _assert_bit_identical(got, build_footpaths(t, MODEL, cap).restricted(sources, targets))
+    _assert_bit_identical(got, reference_build_footpaths(t, MODEL, cap).restricted(sources, targets))
+
+
+@settings(deadline=None, max_examples=60)
+@given(feed_seed=st.integers(0, 2**32 - 1), copies=st.integers(0, 2))
+def test_scan_order_equals_a_tuple_sort(feed_seed, copies):
+    t, _ = random_feed(np.random.default_rng(feed_seed), MODEL)
+    # Copies of every trip share its times, so departure and arrival ties
+    # are broken by trip and position.
+    stoptimes = dict(t.stoptimes)
+    for k in range(copies):
+        for trip_id, sts in t.stoptimes.items():
+            copy_id = f"{trip_id}_copy{k}"
+            stoptimes[copy_id] = tuple(
+                GtfsStopTime(copy_id, x.stop_id, x.arrival, x.departure, x.stop_sequence) for x in sts
+            )
+    trips = {tid: Trip(tid, "R00", "ALL") for tid in stoptimes}
+    t = Timetable(t.stops, t.routes, trips, stoptimes, t.calendar, (), {})
+    planner = Planner(t, MODEL)
+
+    index = {sid: i for i, sid in enumerate(sorted(t.stops))}
+    rows = []
+    ridden = [tid for tid in sorted(stoptimes) if len(stoptimes[tid]) >= 2]
+    for ti, trip_id in enumerate(ridden):
+        sts = stoptimes[trip_id]
+        for pos, (a, b) in enumerate(zip(sts, sts[1:])):
+            rows.append((a.departure, b.arrival, ti, pos, index[a.stop_id], index[b.stop_id]))
+    rows.sort()
+    want = [list(column) for column in zip(*rows)] if rows else [[]] * 6
+    got = [planner._c_dep_t, planner._c_arr_t, planner._c_trip, planner._c_pos,
+           planner._c_dep_s, planner._c_arr_s]
+    assert got == want
+    assert all(type(v) is int for column in got for v in column)
+
+    arriving = np.zeros(len(index), dtype=bool)
+    arriving[want[5]] = True
+    departing = np.zeros(len(index), dtype=bool)
+    departing[want[4]] = True
+    _assert_bit_identical(planner.footpaths, build_footpaths(t, MODEL).restricted(arriving, departing))
 
 
 _MODE_TRIPS = (
