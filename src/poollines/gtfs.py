@@ -223,6 +223,9 @@ class _Table:
     (a quoted cell may span lines); blank lines are skipped.  A column
     the header lacks, or a row too short to reach, reads as "".  A
     header name is stripped; a repeated one means its last column.
+    Bytes that are not UTF-8, and text the CSV reader rejects (such as
+    bare carriage-return line ends), raise :class:`MalformedRow` at
+    their line.
     """
 
     def __init__(self, source: _FeedSource, name: str, required: bool):
@@ -230,16 +233,33 @@ class _Table:
         raw = source.read_bytes(name)
         if raw is None and required:
             raise MissingFile(name)
-        self._reader = csv.reader(io.StringIO(raw.decode("utf-8-sig") if raw else ""))
-        header = next(self._reader, [])
+        try:
+            text = raw.decode("utf-8-sig") if raw else ""
+        except UnicodeDecodeError as exc:
+            line = exc.object[: exc.start].count(b"\n") + 1
+            bad = exc.object[exc.start]
+            raise MalformedRow(name, line, f"byte 0x{bad:02x} is not UTF-8") from None
+        self._reader = csv.reader(io.StringIO(text))
+        try:
+            header = next(self._reader, [])
+        except csv.Error as exc:
+            raise self._unreadable(exc) from None
         self.width = len(header)
         self.columns = {key.strip(): i for i, key in enumerate(header)}
 
+    def _unreadable(self, exc: csv.Error) -> MalformedRow:
+        # The reader's advice after " - " is about opening files in Python.
+        reason = str(exc).split(" - ")[0]
+        return MalformedRow(self.name, self._reader.line_num, f"unreadable CSV: {reason}")
+
     def rows(self) -> Iterator[tuple[int, list[str]]]:
         reader = self._reader
-        for row in reader:
-            if row:
-                yield reader.line_num, row
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise self._unreadable(exc) from None
 
     def get(self, row: list[str], key: str) -> str:
         i = self.columns.get(key, self.width)

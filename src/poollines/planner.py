@@ -11,10 +11,23 @@ walks between the request endpoints, access/egress walks to stops
 within ``max_walk_km`` road-kilometres, and stop-to-stop footpaths.
 Changing vehicles at one stop costs ``transfer_s`` seconds; a footpath
 transfer needs no buffer beyond its own walking time.
+
+The scan keeps one boarding label per stop: the earliest time a rider
+can stand there ready to board, whether by the access walk, by a
+vehicle arrival plus ``transfer_s``, or by a footpath.  Footpaths are
+relaxed in order of the last departure from their target, latest
+first, and a relaxation stops at the first target that nothing leaves
+at or after the arrival, since its label could never be boarded from.
+Only the connections that can matter are scanned: none before the
+earliest access arrival, none after the best arrival so far less the
+shortest egress walk.
 """
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -203,6 +216,28 @@ def build_footpaths(
     )
 
 
+@dataclass(frozen=True)
+class _RequestLinks:
+    """The per-request inputs of a solve, built once for all alternatives.
+
+    The walk seconds and km index stops and hold infinity beyond the
+    cap; ``egress_s`` is a list, which the scan reads per arrival.
+    ``reach`` and ``foot_prev`` are the initial boarding labels (the
+    access arrivals) and their sources (-1 the origin, -2 none); each
+    solve copies them.  ``first_board`` is the earliest access arrival
+    and ``min_egress`` the shortest egress walk.
+    """
+
+    access_s: np.ndarray
+    access_km: np.ndarray
+    egress_s: list
+    egress_km: np.ndarray
+    reach: list
+    foot_prev: list
+    first_board: float
+    min_egress: float
+
+
 class Planner:
     """Prepared search structures for one timetable and travel model.
 
@@ -212,6 +247,24 @@ class Planner:
     connections first and then builds just those links with
     :func:`build_footpaths`; a ``footpaths`` argument is cut down to
     them with :meth:`FootpathSet.restricted`.
+
+    The scan reads its own copy of these links, with each source's fan
+    ordered by the last departure from the target over all modes,
+    latest first.  A footpath walked from an arrival at ``at`` gives a
+    label of at least ``at``, which nothing boards from at a target
+    whose last departure is earlier, and every target after that one
+    in the fan departs no later.  So a relaxation stops at the first
+    such target, found by bisection, and the answers stay those of
+    relaxing every link.
+
+    A stop's boarding label is the minimum of its access arrival, its
+    vehicle arrival plus ``transfer_s`` and its footpath arrivals; a
+    footpath label, and the stop it came from, is written only when it
+    lowers that minimum.  A solve scans the connections departing from
+    the earliest access arrival on, and stops at the first departure
+    after the best arrival so far less the shortest egress walk: a ride
+    from there arrives strictly later.  This assumes that no hop arrives
+    before it departs, which :func:`~poollines.gtfs.parse_gtfs` enforces.
     """
 
     def __init__(
@@ -302,6 +355,22 @@ class Planner:
         else:
             self.footpaths = footpaths.restricted(arriving, departing)
 
+        # The scan's copy of the links: each source's fan ordered by the
+        # last departure from its target, latest first, with minus that
+        # departure as the ascending key a bisection reads.  Every target
+        # departs, so its last departure is set.
+        fp = self.footpaths
+        last_dep = np.full(len(self._stop_ids), -1, dtype=np.int64)
+        np.maximum.at(last_dep, dep_s, dep_t)
+        source = np.repeat(np.arange(len(self._stop_ids), dtype=np.int64), np.diff(fp.starts))
+        fan_key = -last_dep[fp.targets]
+        span = int(last_dep.max(initial=0)) + 1
+        order = np.argsort(source * span + fan_key, kind="stable")
+        self._fan_starts = fp.starts.tolist()
+        self._fan_targets = array("q", fp.targets[order].astype(np.int64, copy=False).tobytes())
+        self._fan_seconds = array("d", fp.seconds[order].astype(np.float64, copy=False).tobytes())
+        self._fan_key = array("q", fan_key[order].tobytes())
+
     # ---- helpers ----------------------------------------------------
 
     def _endpoint_links(self, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -344,36 +413,56 @@ class Planner:
 
     # ---- the scan ---------------------------------------------------
 
-    def _request_links(self, req: PlanRequest) -> tuple[np.ndarray, ...] | None:
+    def _request_links(self, req: PlanRequest) -> _RequestLinks | None:
         """Access and egress walks of a request, shared by its alternatives.
 
-        None when the feed has no stops, so the request can only walk.
+        None when no stop is within walking reach of both endpoints, so
+        the request can only walk.
         """
         if not self._stop_ids:
             return None
-        return self._endpoint_links(req.origin) + self._endpoint_links(req.destination)
+        access_s, access_km = self._endpoint_links(req.origin)
+        egress_s, egress_km = self._endpoint_links(req.destination)
+        walkable = np.isfinite(access_s)
+        leavable = np.isfinite(egress_s)
+        if not walkable.any() or not leavable.any():
+            return None
+        return _RequestLinks(
+            access_s,
+            access_km,
+            egress_s.tolist(),
+            egress_km,
+            reach=np.where(walkable, req.departure + access_s, _INF).tolist(),
+            foot_prev=np.where(walkable, -1, -2).tolist(),
+            first_board=float(req.departure + access_s[walkable].min()),
+            min_egress=float(egress_s[leavable].min()),
+        )
 
     def _solve(
-        self, req: PlanRequest, banned: frozenset[int], links: tuple[np.ndarray, ...] | None
+        self, req: PlanRequest, banned: Iterable[int], links: _RequestLinks | None
     ) -> Itinerary:
+        """Earliest arrival without the trips whose indices are in ``banned``."""
         direct = self._walk_only(req)
         if links is None:
             return direct
 
         n = len(self._stop_ids)
-        dep = req.departure
         best = direct.arrive
         best_stop = -1
         best_egress = _INF
-        access_s, access_km, egress_s, egress_km = links
+        egress = links.egress_s
+        min_egress = links.min_egress
+        limit = best - min_egress
 
-        arr_foot = np.where(np.isfinite(access_s), dep + access_s, _INF)
-        foot_prev = np.full(n, -2, dtype=np.int64)
-        foot_prev[np.isfinite(access_s)] = -1
+        reach = links.reach.copy()
+        foot_prev = links.foot_prev.copy()
         arr_veh = [_INF] * n
         veh_conn = [-1] * n
         n_trips = len(self._trip_ids)
-        boarded = bytearray(n_trips)
+        # Per trip: 0 not boarded yet, 1 boarded, 2 banned.
+        trip_state = bytearray(n_trips)
+        for ti in banned:
+            trip_state[ti] = 2
         board_conn = [-1] * n_trips
 
         dw = self.transfer_s
@@ -382,32 +471,33 @@ class Planner:
         c_arr_s = self._c_arr_s
         c_arr_t = self._c_arr_t
         c_trip = self._c_trip
-        fp_starts = self.footpaths.starts
-        fp_targets = self.footpaths.targets
-        fp_seconds = self.footpaths.seconds
+        fan_starts = self._fan_starts
+        fan_targets = self._fan_targets
+        fan_seconds = self._fan_seconds
+        fan_key = self._fan_key
 
         conns, times = self._mode_conns[req.mode]
-        lo = int(np.searchsorted(times, dep, side="left"))
-        for ci in conns[lo:]:
+        lo = int(np.searchsorted(times, links.first_board, side="left"))
+        hi = int(np.searchsorted(times, limit, side="right"))
+        for ci in conns[lo:hi]:
             t0 = c_dep_t[ci]
-            if t0 > best:
+            if t0 > limit:
                 break
             ti = c_trip[ci]
-            if ti in banned:
-                continue
-            if not boarded[ti]:
-                s = c_dep_s[ci]
-                if t0 >= arr_foot[s] or t0 >= arr_veh[s] + dw:
-                    boarded[ti] = 1
-                    board_conn[ti] = ci
-                else:
+            state = trip_state[ti]
+            if state != 1:
+                if state or t0 < reach[c_dep_s[ci]]:
                     continue
+                trip_state[ti] = 1
+                board_conn[ti] = ci
             at = c_arr_t[ci]
             sa = c_arr_s[ci]
             if at < arr_veh[sa]:
                 arr_veh[sa] = at
                 veh_conn[sa] = ci
-                e = egress_s[sa]
+                if at + dw < reach[sa]:
+                    reach[sa] = at + dw
+                e = egress[sa]
                 if e != _INF:
                     cand = at + e
                     # Strict improvement, or an equal-time arrival with less
@@ -416,37 +506,40 @@ class Planner:
                         best = int(cand)
                         best_stop = sa
                         best_egress = e
-                a = fp_starts[sa]
-                b = fp_starts[sa + 1]
-                if a != b:
-                    idx = fp_targets[a:b]
-                    cand_f = at + fp_seconds[a:b]
-                    mask = cand_f < arr_foot[idx]
-                    if mask.any():
-                        hits = idx[mask]
-                        arr_foot[hits] = cand_f[mask]
-                        foot_prev[hits] = sa
+                        limit = best - min_egress
+                # Relax the fan's prefix of targets something leaves at or
+                # after ``at``; the first link is checked before bisecting.
+                a = fan_starts[sa]
+                b = fan_starts[sa + 1]
+                if a == b or fan_key[a] > -at:
+                    continue
+                b = bisect_right(fan_key, -at, a, b)
+                for v, secs in zip(fan_targets[a:b], fan_seconds[a:b]):
+                    cand = at + secs
+                    if cand < reach[v]:
+                        reach[v] = cand
+                        foot_prev[v] = sa
 
         if best_stop < 0:
             return direct
         return self._reconstruct(
-            req, best, best_stop, access_s, access_km, egress_s, egress_km,
-            arr_foot, foot_prev, arr_veh, veh_conn, board_conn,
+            req, best, best_stop, links, reach, foot_prev, arr_veh, veh_conn, board_conn
         )
 
     def _reconstruct(
-        self, req, best, best_stop, access_s, access_km, egress_s, egress_km,
-        arr_foot, foot_prev, arr_veh, veh_conn, board_conn,
+        self, req, best, best_stop, links, reach, foot_prev, arr_veh, veh_conn, board_conn,
     ) -> Itinerary:
         dep = req.departure
         dw = self.transfer_s
+        access_s = links.access_s
+        egress_s = links.egress_s
         legs_rev: list[Leg] = []
         legs_rev.append(
             Leg(
                 kind="walk",
                 start=int(arr_veh[best_stop]),
                 end=int(arr_veh[best_stop] + egress_s[best_stop]),
-                distance_km=float(egress_km[best_stop]),
+                distance_km=float(links.egress_km[best_stop]),
                 from_point=self._positions[best_stop],
                 to_point=req.destination,
                 from_stop=self._stop_ids[best_stop],
@@ -481,7 +574,7 @@ class Planner:
                         kind="walk",
                         start=dep,
                         end=dep + int(access_s[sb]),
-                        distance_km=float(access_km[sb]),
+                        distance_km=float(links.access_km[sb]),
                         from_point=req.origin,
                         to_point=self._positions[sb],
                         to_stop=self._stop_ids[sb],
@@ -491,8 +584,10 @@ class Planner:
             if veh_conn[sb] >= 0 and arr_veh[sb] + dw <= tb:
                 stop = sb
                 continue
-            q = int(foot_prev[sb])
-            if q < 0 or arr_foot[sb] > tb:
+            # Both failed, so a footpath reached sb by tb; foot_prev holds
+            # the first stop whose walk gave sb its earliest footpath arrival.
+            q = foot_prev[sb]
+            if q < 0 or reach[sb] > tb:
                 raise AssertionError("inconsistent labels during reconstruction")
             walk_s, walk_km = self._footpath_seconds_km(q, sb)
             legs_rev.append(
@@ -553,7 +648,7 @@ class Planner:
         A direct walk is always available, so this never fails on a
         connected plane.
         """
-        return self._solve(req, frozenset(), self._request_links(req))
+        return self._solve(req, (), self._request_links(req))
 
     def iter_itineraries(self, req: PlanRequest):
         """Yield alternatives lazily, best first.
@@ -567,7 +662,7 @@ class Planner:
         seen: set[tuple] = set()
         count = 0
         while count < req.num_itineraries:
-            it = self._solve(req, frozenset(banned), links)
+            it = self._solve(req, banned, links)
             rides = it.ride_legs
             if not rides:
                 break

@@ -229,30 +229,53 @@ def read_agents(
     """Load an agents file.
 
     Declaration time and seat capacity are not stored in the file; they
-    come from the run configuration.
+    come from the run configuration.  A missing column, a blank or
+    non-numeric cell and an unknown kind raise :class:`ScenarioError`
+    naming the file and line.
     """
     drivers: list[Driver] = []
     riders: list[Rider] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
+        column = {key.strip(): i for i, key in enumerate(next(reader, []))}
+        missing = [key for key in _AGENT_HEADER if key not in column]
+        if missing:
+            raise ScenarioError(f"{path}:1: missing column {missing[0]!r}")
         for row in reader:
-            kind = row["kind"]
-            origin = GeoPoint(float(row["origin_lat"]), float(row["origin_lon"]))
-            destination = GeoPoint(float(row["destination_lat"]), float(row["destination_lon"]))
-            departure = int(row["departure_s"])
-            if kind == "driver":
-                drivers.append(
-                    Driver(
-                        driver_id=int(row["id"]),
-                        origin=origin,
-                        destination=destination,
-                        departure_time=departure,
-                        declaration_time=min(declaration_time, departure),
-                        seat_capacity=seat_capacity,
-                    )
-                )
-            elif kind == "rider":
-                riders.append(Rider(int(row["id"]), origin, destination, departure))
-            else:
-                raise ScenarioError(f"unknown agent kind {kind!r}")
+            if not row:
+                continue
+            try:
+                agent = _agent(row, column, declaration_time, seat_capacity)
+            except ValueError as exc:
+                raise ScenarioError(f"{path}:{reader.line_num}: {exc}") from None
+            (drivers if isinstance(agent, Driver) else riders).append(agent)
     return tuple(drivers), tuple(riders)
+
+
+def _agent(
+    row: list[str], column: dict[str, int], declaration_time: int, seat_capacity: int
+) -> Driver | Rider:
+    """One row of an agents file; a ValueError names what is wrong with it."""
+    cells = []
+    for key in _AGENT_HEADER:
+        i = column[key]
+        value = row[i].strip() if i < len(row) else ""
+        if value == "":
+            raise ValueError(f"missing value for {key!r}")
+        cells.append(value)
+    kind, agent_id, olat, olon, dlat, dlon, departure_text = cells
+    if kind not in ("driver", "rider"):
+        raise ValueError(f"unknown agent kind {kind!r}")
+    origin = GeoPoint(float(olat), float(olon))
+    destination = GeoPoint(float(dlat), float(dlon))
+    departure = int(departure_text)
+    if kind == "rider":
+        return Rider(int(agent_id), origin, destination, departure)
+    return Driver(
+        driver_id=int(agent_id),
+        origin=origin,
+        destination=destination,
+        departure_time=departure,
+        declaration_time=min(declaration_time, departure),
+        seat_capacity=seat_capacity,
+    )

@@ -1,10 +1,12 @@
 """Independent reference implementations the tests check the package against.
 
-Nothing here imports from the package's planner internals.  The router
-oracle materialises the full time-event graph (one node per scheduled
+The router oracle materialises the full time-event graph (one node per scheduled
 departure and arrival) and computes reachability over explicit edges,
 which is a different algorithm family from the connection scan in the
-package, so shared bugs are unlikely.
+package, so shared bugs are unlikely.  :class:`ReferencePlanner` keeps
+the package's earlier scan, which relaxed every footpath link and kept
+footpath and vehicle labels apart, to pin full itineraries, tie-breaks
+included.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from poollines.gtfs import (
     Trip,
 )
 from poollines.injection import pool_trip_id
-from poollines.planner import FootpathSet
+from poollines.planner import FootpathSet, Itinerary, Leg, Planner, PlanRequest
 
 SPHERE_RADIUS_KM = 6371.0088
 
@@ -200,6 +202,194 @@ class OracleRouter:
             if walk is not None and t + walk < best:
                 best = t + walk
         return best
+
+
+
+class ReferencePlanner(Planner):
+    """:class:`Planner` with the scan it had before the boarding label.
+
+    The build is the package's; the scan relaxes every footpath link of
+    an improved arrival with a numpy mask, keeps a footpath label apart
+    from the vehicle label, checks banned trips in a set and scans from
+    the request's departure to the best arrival.  Its itineraries are
+    the reference for the package's, leg for leg.
+    """
+
+    def _request_links(self, req: PlanRequest) -> tuple[np.ndarray, ...] | None:
+        """Access and egress walks of a request, shared by its alternatives.
+
+        None when the feed has no stops, so the request can only walk.
+        """
+        if not self._stop_ids:
+            return None
+        return self._endpoint_links(req.origin) + self._endpoint_links(req.destination)
+
+    def _solve(
+        self, req: PlanRequest, banned: frozenset[int], links: tuple[np.ndarray, ...] | None
+    ) -> Itinerary:
+        direct = self._walk_only(req)
+        if links is None:
+            return direct
+
+        n = len(self._stop_ids)
+        dep = req.departure
+        best = direct.arrive
+        best_stop = -1
+        best_egress = math.inf
+        access_s, access_km, egress_s, egress_km = links
+
+        arr_foot = np.where(np.isfinite(access_s), dep + access_s, math.inf)
+        foot_prev = np.full(n, -2, dtype=np.int64)
+        foot_prev[np.isfinite(access_s)] = -1
+        arr_veh = [math.inf] * n
+        veh_conn = [-1] * n
+        n_trips = len(self._trip_ids)
+        boarded = bytearray(n_trips)
+        board_conn = [-1] * n_trips
+
+        dw = self.transfer_s
+        c_dep_s = self._c_dep_s
+        c_dep_t = self._c_dep_t
+        c_arr_s = self._c_arr_s
+        c_arr_t = self._c_arr_t
+        c_trip = self._c_trip
+        fp_starts = self.footpaths.starts
+        fp_targets = self.footpaths.targets
+        fp_seconds = self.footpaths.seconds
+
+        conns, times = self._mode_conns[req.mode]
+        lo = int(np.searchsorted(times, dep, side="left"))
+        for ci in conns[lo:]:
+            t0 = c_dep_t[ci]
+            if t0 > best:
+                break
+            ti = c_trip[ci]
+            if ti in banned:
+                continue
+            if not boarded[ti]:
+                s = c_dep_s[ci]
+                if t0 >= arr_foot[s] or t0 >= arr_veh[s] + dw:
+                    boarded[ti] = 1
+                    board_conn[ti] = ci
+                else:
+                    continue
+            at = c_arr_t[ci]
+            sa = c_arr_s[ci]
+            if at < arr_veh[sa]:
+                arr_veh[sa] = at
+                veh_conn[sa] = ci
+                e = egress_s[sa]
+                if e != math.inf:
+                    cand = at + e
+                    # Strict improvement, or an equal-time arrival with less
+                    # egress walking; the direct walk keeps ties it already holds.
+                    if cand < best or (cand == best and best_stop >= 0 and e < best_egress):
+                        best = int(cand)
+                        best_stop = sa
+                        best_egress = e
+                a = fp_starts[sa]
+                b = fp_starts[sa + 1]
+                if a != b:
+                    idx = fp_targets[a:b]
+                    cand_f = at + fp_seconds[a:b]
+                    mask = cand_f < arr_foot[idx]
+                    if mask.any():
+                        hits = idx[mask]
+                        arr_foot[hits] = cand_f[mask]
+                        foot_prev[hits] = sa
+
+        if best_stop < 0:
+            return direct
+        return self._reconstruct(
+            req, best, best_stop, access_s, access_km, egress_s, egress_km,
+            arr_foot, foot_prev, arr_veh, veh_conn, board_conn,
+        )
+
+    def _reconstruct(
+        self, req, best, best_stop, access_s, access_km, egress_s, egress_km,
+        arr_foot, foot_prev, arr_veh, veh_conn, board_conn,
+    ) -> Itinerary:
+        dep = req.departure
+        dw = self.transfer_s
+        legs_rev: list[Leg] = []
+        legs_rev.append(
+            Leg(
+                kind="walk",
+                start=int(arr_veh[best_stop]),
+                end=int(arr_veh[best_stop] + egress_s[best_stop]),
+                distance_km=float(egress_km[best_stop]),
+                from_point=self._positions[best_stop],
+                to_point=req.destination,
+                from_stop=self._stop_ids[best_stop],
+            )
+        )
+        stop = best_stop
+        while True:
+            ci = veh_conn[stop]
+            ti = self._c_trip[ci]
+            bi = board_conn[ti]
+            sb = self._c_dep_s[bi]
+            tb = self._c_dep_t[bi]
+            km = self._trip_cum_km[ti][self._c_pos[ci] + 1] - self._trip_cum_km[ti][self._c_pos[bi]]
+            legs_rev.append(
+                Leg(
+                    kind=self._leg_kind(ti),
+                    start=tb,
+                    end=int(self._c_arr_t[ci]),
+                    distance_km=km,
+                    from_point=self._positions[sb],
+                    to_point=self._positions[self._c_arr_s[ci]],
+                    trip_id=self._trip_ids[ti],
+                    from_stop=self._stop_ids[sb],
+                    to_stop=self._stop_ids[self._c_arr_s[ci]],
+                )
+            )
+            # How was the boarding stop reached?  Prefer walking straight
+            # from the origin, then a same-stop change, then a footpath.
+            if access_s[sb] != math.inf and dep + access_s[sb] <= tb:
+                legs_rev.append(
+                    Leg(
+                        kind="walk",
+                        start=dep,
+                        end=dep + int(access_s[sb]),
+                        distance_km=float(access_km[sb]),
+                        from_point=req.origin,
+                        to_point=self._positions[sb],
+                        to_stop=self._stop_ids[sb],
+                    )
+                )
+                break
+            if veh_conn[sb] >= 0 and arr_veh[sb] + dw <= tb:
+                stop = sb
+                continue
+            q = int(foot_prev[sb])
+            if q < 0 or arr_foot[sb] > tb:
+                raise AssertionError("inconsistent labels during reconstruction")
+            walk_s, walk_km = self._footpath_seconds_km(q, sb)
+            legs_rev.append(
+                Leg(
+                    kind="walk",
+                    start=int(arr_veh[q]),
+                    end=int(arr_veh[q]) + walk_s,
+                    distance_km=walk_km,
+                    from_point=self._positions[q],
+                    to_point=self._positions[sb],
+                    from_stop=self._stop_ids[q],
+                    to_stop=self._stop_ids[sb],
+                )
+            )
+            stop = q
+
+        legs = self._merge_same_trip(list(reversed(legs_rev)))
+        walk_km_total = sum(l.distance_km for l in legs if l.kind == "walk")
+        durations = sum(l.duration_s for l in legs)
+        return Itinerary(
+            legs=tuple(legs),
+            depart=dep,
+            arrive=best,
+            total_walk_km=walk_km_total,
+            total_wait_s=best - dep - durations,
+        )
 
 
 def footpaths_from_links(

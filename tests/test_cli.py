@@ -9,9 +9,10 @@ import shutil
 import pytest
 
 from poollines.cli import main
-from poollines.gtfs import parse_gtfs
+from poollines.gtfs import parse_gtfs, write_gtfs
 from poollines.injection import is_poolline_trip, pool_trip_id
 from poollines.scenario import Window, read_agents
+from poollines.synthetic import build_synthetic_city
 
 SIM_START = Window.from_texts("09:30:00", "12:30:00").start
 
@@ -297,3 +298,68 @@ def test_metrics_without_outputs_is_a_data_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "config.json")
     assert main(["metrics", "--config", str(cfg), "--dir", str(tmp_path / "empty")]) == 2
     assert "no simulation outputs" in capsys.readouterr().err
+
+
+def _edit_cell(row: int, column: str, value: str):
+    """A recipe that sets one cell of the agents file (row 0 is the header)."""
+    def edit(lines: list[str]) -> None:
+        header = lines[0].split(",")
+        cells = lines[row].split(",")
+        cells[header.index(column)] = value
+        lines[row] = ",".join(cells)
+    return edit
+
+
+def _drop_column(column: str):
+    def edit(lines: list[str]) -> None:
+        i = lines[0].split(",").index(column)
+        lines[:] = [",".join(c for k, c in enumerate(line.split(",")) if k != i) for line in lines]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (_edit_cell(2, "departure_s", "abc"), ":3: invalid literal for int() with base 10: 'abc'"),
+        (_drop_column("origin_lon"), ":1: missing column 'origin_lon'"),
+        (_edit_cell(1, "origin_lat", ""), ":2: missing value for 'origin_lat'"),
+        (_edit_cell(4, "destination_lon", " "), ":5: missing value for 'destination_lon'"),
+        (_edit_cell(3, "origin_lat", "north"), ":4: could not convert string to float: 'north'"),
+        (_edit_cell(7, "kind", "walker"), ":8: unknown agent kind 'walker'"),
+        (_edit_cell(6, "origin_lat", "95.0"), ":7: latitude out of range: 95.0"),
+    ],
+)
+def test_malformed_agents_file_is_a_data_error_naming_file_and_line(tmp_path, capsys, edit, where):
+    scenario = {**_SMALL_SCENARIO, "driver_count": 5, "rider_count": 5}
+    cfg = _write_config(tmp_path / "config.json", seed=7, scenario=scenario)
+    agents = tmp_path / "agents.csv"
+    assert main(["generate", "--config", str(cfg), "--out", str(agents)]) == 0
+    lines = agents.read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    agents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["simulate", "--config", str(cfg), "--agents", str(agents),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"data error: {agents}{where}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [
+        (lambda raw: raw.replace(b"\n", b"\r"), "stop_times.txt:1: unreadable CSV"),
+        (lambda raw: raw.replace(b"\n", b"\n\xff", 1), "stop_times.txt:2: byte 0xff is not UTF-8"),
+    ],
+)
+def test_unreadable_feed_file_is_a_data_error(tmp_path, capsys, corrupt, where):
+    write_gtfs(build_synthetic_city(), tmp_path / "feed")
+    stop_times = tmp_path / "feed" / "stop_times.txt"
+    stop_times.write_bytes(corrupt(stop_times.read_bytes()))
+    cfg = _write_config(
+        tmp_path / "config.json", synthetic_city=False, gtfs_path=str(tmp_path / "feed")
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {where}")

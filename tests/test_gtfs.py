@@ -465,6 +465,15 @@ def _stop_times(*rows: str, header: str = _ST_HEADER, end: str = "\n") -> str:
             _stop_times(*_ST_ROWS, "", "X1,08:10:00,08:10:00,A,2"),
             "stop_times.txt:6: duplicate stop_sequence 2 in trip 'X1'",
         ),
+        # Bare carriage-return line ends: the whole file, or from line 3 on.
+        (
+            _stop_times(*_ST_ROWS, end="\r"),
+            "stop_times.txt:1: unreadable CSV: new-line character seen in unquoted field",
+        ),
+        (
+            _stop_times(_ST_ROWS[0]) + "\r".join(_ST_ROWS[1:]) + "\r",
+            "stop_times.txt:3: unreadable CSV: new-line character seen in unquoted field",
+        ),
     ],
 )
 def test_stop_times_faults_name_file_line_and_reason(tmp_path, text, message):
@@ -472,6 +481,16 @@ def test_stop_times_faults_name_file_line_and_reason(tmp_path, text, message):
     with pytest.raises((MalformedRow, DanglingReference)) as err:
         parse_gtfs(feed)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_bytes_that_are_not_utf8_name_file_and_line(tmp_path, bom):
+    feed = _feed_with(tmp_path, "stop_times.txt", _stop_times(*_ST_ROWS))
+    raw = (feed / "stop_times.txt").read_bytes().replace(b"08:04:20", b"08:04:2\xff")
+    (feed / "stop_times.txt").write_bytes(bom + raw)
+    with pytest.raises(MalformedRow) as err:
+        parse_gtfs(feed)
+    assert str(err.value) == "stop_times.txt:3: byte 0xff is not UTF-8"
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poollines.geo import GeoPoint, TravelModel
+from poollines.drivers import Driver, MeetingPointSet, compute_driver_journeys
+from poollines.geo import GeoPoint, TravelModel, walk_seconds
 from poollines.gtfs import GtfsStopTime, Route, Stop, Timetable, Trip
-from poollines.injection import is_poolline_trip
+from poollines.injection import inject_poollines, is_poolline_trip, origin_stop_id
 from poollines.planner import (
     FootpathSet,
     Itinerary,
@@ -17,6 +18,7 @@ from poollines.planner import (
 
 from oracles import (
     OracleRouter,
+    ReferencePlanner,
     footpaths_from_links,
     random_endpoints,
     random_feed,
@@ -105,6 +107,76 @@ def test_footpath_change_needs_no_buffer():
     assert _ride_trips(it) == ["T1", "T4"]
     walk_legs = [leg for leg in it.legs if leg.kind == "walk" and leg.from_stop == "Q"]
     assert walk_legs and walk_legs[0].duration_s == 148
+
+
+def test_footpath_to_a_stop_left_before_the_arrival_is_not_ridden():
+    # Q0 and Q1 stand where Q does, so both footpaths from Q take 0 s.
+    # Q1's only departure leaves one second before A reaches Q, so the
+    # scan cuts that link; Q0's leaves on the arrival, so it stays.
+    t = make_timetable(
+        {"P": P, "Q": Q, "Q0": Q, "Q1": Q, "R": R},
+        {
+            "A": [("P", 900, 900), ("Q", 1000, 1000)],
+            "B": [("Q1", 999, 999), ("R", 1100, 1100)],
+            "C": [("Q0", 1000, 1000), ("R", 1800, 1800)],
+        },
+    )
+    req = PlanRequest(P, R, 880)
+    for transfer_s in (0, 60):
+        planner = Planner(t, MODEL, transfer_s=transfer_s)
+        it = planner.earliest_arrival(req)
+        assert _ride_trips(it) == ["A", "C"]
+        assert it.arrive == 1800
+        assert [(l.from_stop, l.to_stop, l.start, l.end) for l in it.legs if l.kind == "walk"][1] == (
+            "Q", "Q0", 1000, 1000
+        )
+        assert planner.plan(req) == ReferencePlanner(t, MODEL, transfer_s=transfer_s).plan(req)
+
+
+def test_equal_footpath_arrivals_keep_the_first_source():
+    # A1 and A2 lie the same walk west and east of Q.  TA reaches A1 and
+    # TB reaches A2 at 1000, so both walks reach Q at the same time; TA
+    # is scanned first (it departs first), and the change walks from A1.
+    a1, a2 = GeoPoint(45.0, -122.275), GeoPoint(45.0, -122.265)
+    assert walk_seconds(a1, Q, MODEL) == walk_seconds(a2, Q, MODEL)
+    t = make_timetable(
+        {"P": P, "A1": a1, "A2": a2, "Q": Q, "R": R},
+        {
+            "TA": [("P", 900, 900), ("A1", 1000, 1000)],
+            "TB": [("P", 950, 950), ("A2", 1000, 1000)],
+            "TC": [("Q", 1500, 1500), ("R", 2000, 2000)],
+        },
+    )
+    req = PlanRequest(P, R, 800)
+    planner = Planner(t, MODEL)
+    it = planner.earliest_arrival(req)
+    assert _ride_trips(it) == ["TA", "TC"]
+    assert [(l.from_stop, l.to_stop) for l in it.legs if l.kind == "walk"][1] == ("A1", "Q")
+    assert planner.plan(req) == ReferencePlanner(t, MODEL).plan(req)
+
+
+def test_egress_tie_at_the_end_of_the_scan_window_goes_to_the_shorter_walk():
+    # TX reaches X, a long walk from R.  TY leaves on the last second of
+    # the scan window (the best arrival less the shortest egress walk)
+    # and reaches Y, a short walk from R, at the same arrival at R
+    # through a zero-duration hop.  The tie goes to the shorter walk.
+    x, y = GeoPoint(45.0, -122.25), GeoPoint(45.0, -122.241)
+    e_x, e_y = walk_seconds(x, R, MODEL), walk_seconds(y, R, MODEL)
+    assert e_y < e_x
+    best = 2000 + e_x
+    t = make_timetable(
+        {"P": P, "X": x, "Y": y},
+        {
+            "TX": [("P", 1000, 1000), ("X", 2000, 2000)],
+            "TY": [("P", best - e_y, best - e_y), ("Y", best - e_y, best - e_y)],
+        },
+    )
+    req = PlanRequest(P, R, 900)
+    planner = Planner(t, MODEL)
+    it = planner.earliest_arrival(req)
+    assert it.arrive == best
+    assert _ride_trips(it) == ["TY"]
+    assert planner.plan(req) == ReferencePlanner(t, MODEL).plan(req)
 
 
 def test_custom_transfer_buffer_is_honoured():
@@ -534,6 +606,77 @@ def test_every_mode_and_alternative_equals_the_oracle(feed_seed, query_seed):
                 org, dst, dep, allowed=allowed, banned=frozenset(banned)
             )
             banned.add(it.ride_legs[0].trip_id)
+
+
+def _near_stop(rng: np.random.Generator, t: Timetable) -> GeoPoint:
+    """A point within about 400 m of a random stop of the feed."""
+    stop = t.stops[sorted(t.stops)[int(rng.integers(len(t.stops)))]].position
+    return GeoPoint(
+        stop.lat + float(rng.uniform(-0.004, 0.004)), stop.lon + float(rng.uniform(-0.004, 0.004))
+    )
+
+
+def _near_arrival(rng: np.random.Generator, t: Timetable, lo: int, hi: int) -> int:
+    """A random stoptime arrival of the feed shifted by ``[lo, hi)`` seconds."""
+    times = sorted(x.arrival for sts in t.stoptimes.values() for x in sts)
+    return max(0, times[int(rng.integers(len(times)))] + int(rng.integers(lo, hi)))
+
+
+def _feed_with_drivers(rng: np.random.Generator, drivers: int) -> Timetable:
+    """A ``random_feed`` timetable with driver journeys injected as poollines.
+
+    Every injected trip adds a ``DRIVER_origin_`` stop that exactly one
+    connection leaves.  Drivers start near stops, around the times the
+    feed's vehicles arrive, so footpaths lead to their origins both
+    before and after they leave.  Meeting points are all the feed's
+    stops, and a wide detour budget lets most journeys call at some.
+    """
+    t, _ = random_feed(rng, MODEL)
+    agents = []
+    for k in range(drivers):
+        departure = _near_arrival(rng, t, -300, 900)
+        agents.append(Driver(100 + k, _near_stop(rng, t), _near_stop(rng, t), departure, departure))
+    points = MeetingPointSet(tuple(t.stops.values()))
+    journeys = compute_driver_journeys(agents, points, MODEL, tau=1.0, seed=drivers)
+    return inject_poollines(t, journeys)
+
+
+def _leg_bits(plans: list[Itinerary]) -> list[tuple]:
+    """Every field of every leg, with kilometres as exact bit patterns."""
+    return [
+        (
+            it.depart, it.arrive, it.total_wait_s, it.total_walk_km.hex(),
+            tuple(
+                (l.kind, l.trip_id, l.from_stop, l.to_stop, l.start, l.end,
+                 l.distance_km.hex(), l.from_point, l.to_point)
+                for l in it.legs
+            ),
+        )
+        for it in plans
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    feed_seed=st.integers(0, 2**32 - 1),
+    drivers=st.integers(0, 16),
+    query_seed=st.integers(0, 2**32 - 1),
+    transfer_s=st.sampled_from([0, 60]),
+)
+def test_every_mode_and_alternative_equals_the_reference_scan_leg_for_leg(
+    feed_seed, drivers, query_seed, transfer_s
+):
+    t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
+    assert all(origin_stop_id(100 + k) in t.stops for k in range(drivers))
+    planner = Planner(t, MODEL, transfer_s=transfer_s)
+    reference = ReferencePlanner(t, MODEL, transfer_s=transfer_s)
+    rng = np.random.default_rng(query_seed)
+    for _ in range(3):
+        org, dst = _near_stop(rng, t), _near_stop(rng, t)
+        dep = _near_arrival(rng, t, -1200, 0)
+        for mode in PlanMode:
+            req = PlanRequest(org, dst, dep, mode=mode)
+            assert _leg_bits(planner.plan(req)) == _leg_bits(reference.plan(req))
 
 
 # ---- request plumbing -----------------------------------------------
