@@ -13,6 +13,7 @@ from poollines.gtfs import with_service_date
 from poollines.injection import inject_poollines
 from poollines.matching import FeasibilityRules
 from poollines.planner import Planner
+from poollines.reports import report_summary
 from poollines.scenario import ScenarioConfig, generate_scenario
 from poollines.simulation import EmissionModel, SystemVariant, run_comparison
 from poollines.synthetic import CITY_SERVICE_DATE, build_synthetic_city, city_rectangles
@@ -40,26 +41,25 @@ result = run_comparison(
     workers=2,
 )
 
-order = (SystemVariant.NO_CARPOOLING, SystemVariant.CURRENT, SystemVariant.INTEGRATED)
+summary = report_summary(result)
+figures = {v: summary["variants"][v.value] for v in SystemVariant}
 modes = ("unserved", "foot", "carpooling", "multi_carpooling", "transit", "multimodal")
 
 print(f"{len(scenario.riders)} riders, {len(journeys)} drivers; "
       f"shares below cover the half-hour stats window\n")
-print(f"{'mode':<18}" + "".join(f"{v.value:>16}" for v in order))
+print(f"{'mode':<18}" + "".join(f"{v.value:>16}" for v in figures))
 for mode in modes:
-    row = "".join(f"{result.reports[v].modal_split[mode]:>15.1f}%" for v in order)
+    row = "".join(f"{f['modal_split_pct'][mode]:>15.1f}%" for f in figures.values())
     print(f"{mode:<18}{row}")
 
 print("\ndrivers by peak rider load:")
-for v in order[1:]:
-    hist = result.reports[v].occupancy_hist
-    body = ", ".join(f"{k}: {hist[k]}" for k in sorted(hist))
+for v in (SystemVariant.CURRENT, SystemVariant.INTEGRATED):
+    body = ", ".join(f"{k}: {n}" for k, n in figures[v]["occupancy_hist"].items())
     print(f"  {v.value:<12} {body}")
 
-integrated = result.reports[SystemVariant.INTEGRATED]
 print("\neffective detours in the integrated system:")
-for bin_name, count in integrated.detour_ratio_hist.items():
+for bin_name, count in figures[SystemVariant.INTEGRATED]["detour_ratio_hist"].items():
     print(f"  {bin_name:<7} {count}")
 
-print(f"\nvkt saved {result.vkt_saved_km:.1f} km, "
-      f"co2 saved {result.co2_saved_kg_per_hour:.1f} kg/h")
+print(f"\nvkt saved {summary['vkt_saved_km']:.1f} km, "
+      f"co2 saved {summary['co2_saved_kg_per_hour']:.1f} kg/h")

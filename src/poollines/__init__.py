@@ -78,10 +78,8 @@ from .simulation import (
     SimulationReport,
     SimulationResult,
     SystemVariant,
-    occupancy_histogram,
     run_comparison,
     run_variant,
-    vkt_and_co2,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .drivers import EmptyMeetingPointSet, compute_driver_journeys, select_meeti
 from .gtfs import GtfsError, Timetable, parse_gtfs, with_service_date, write_gtfs
 from .injection import InjectionError, check_poollines_have_journeys, inject_poollines
 from .planner import Planner
-from .reports import recompute_metrics, write_metrics, write_outputs
+from .reports import recompute_metrics, write_outputs, write_report
 from .scenario import Scenario, ScenarioError, generate_scenario, read_agents
 from .simulation import SystemVariant, run_comparison
 
@@ -103,13 +103,14 @@ def cmd_simulate(cfg: RunConfig, agents: str | None, out: str | None, variant: s
         workers=cfg.effective_workers(),
     )
     outdir = Path(out) if out else Path(cfg.output_dir)
-    write_outputs(outdir, scenario, result)
-    for v, report in result.reports.items():
-        print(f"{v.value}: unserved {report.unserved_share():.1f}% of stats-window riders")
-    if result.vkt_saved_km is not None:
+    summary = write_outputs(outdir, scenario, result)
+    for v, figures in summary["variants"].items():
+        unserved = figures["modal_split_pct"]["unserved"]
+        print(f"{v}: unserved {unserved:.1f}% of stats-window riders")
+    if summary["vkt_saved_km"] is not None:
         print(
-            f"vkt saved {result.vkt_saved_km:.1f} km, "
-            f"co2 saved {result.co2_saved_kg_per_hour:.1f} kg/h"
+            f"vkt saved {summary['vkt_saved_km']:.1f} km, "
+            f"co2 saved {summary['co2_saved_kg_per_hour']:.1f} kg/h"
         )
     print(f"outputs in {outdir}")
     return 0
@@ -124,7 +125,7 @@ def cmd_metrics(cfg: RunConfig, directory: str | None) -> int:
     summary = recompute_metrics(
         outdir, cfg.scenario.stats_window, cfg.travel, cfg.emissions
     )
-    write_metrics(outdir, summary)
+    write_report(outdir, summary)
     print(f"rewrote metrics in {outdir / 'report.json'}")
     return 0
 

@@ -1,150 +1,355 @@
-"""Writing simulation outputs and recomputing metrics from them.
+"""Run records, the files written from them, and every aggregate of a run.
 
-A completed run leaves a self-contained directory: the agents file,
-per-variant rider outcomes and per-driver journey summaries, figure
-data as plain CSV, and a machine-readable report.json.  The metrics
-step rebuilds the aggregates from those files alone, no replanning.
+A run is summarised from plain records: the riders, and per variant one
+outcome record per rider and one journey record per driver.  ``simulate``
+builds the records once, writes the tables from them and summarises
+them into report.json; ``metrics`` reads the same records back from
+the tables and summarises them with the same function, no replanning.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Mapping, NamedTuple
 
-from .geo import GeoPoint, TravelModel, road_km
-from .matching import RiderMode
-from .scenario import Scenario, Window, write_agents
-from .simulation import (
-    EmissionModel,
-    SimulationReport,
-    SimulationResult,
-    SystemVariant,
-    _KM_BINS,
-    _RATIO_BINS,
-)
+from .drivers import DriverJourney
+from .geo import TravelModel, road_km
+from .matching import Rider, RiderMode, RiderOutcome, _boardings_by_driver, max_onboard
+from .scenario import Scenario, Window, read_agents, read_csv, write_agents
+from .simulation import EmissionModel, SimulationReport, SimulationResult, SystemVariant
 
-_OUTCOME_HEADER = ["rider_id", "mode", "depart", "arrive", "walk_km", "wait_s", "driver_ids"]
-_JOURNEY_HEADER = ["driver_id", "baseline_km", "length_km", "pruned_length_km", "occupancy", "voided"]
+
+class OutcomeRecord(NamedTuple):
+    """One rider's row of ``outcomes_<variant>.csv``; None is an empty cell."""
+
+    rider_id: int
+    mode: RiderMode
+    depart: int | None
+    arrive: int | None
+    walk_km: float | None
+    wait_s: int | None
+    driver_ids: tuple[int, ...]
+
+
+class JourneyRecord(NamedTuple):
+    """One driver's row of ``journeys_<variant>.csv``."""
+
+    driver_id: int
+    baseline_km: float
+    length_km: float
+    pruned_length_km: float
+    occupancy: int
+    voided: bool
+
+
+@dataclass(frozen=True)
+class RunRecords:
+    riders: tuple[Rider, ...]
+    outcomes: dict[SystemVariant, tuple[OutcomeRecord, ...]]
+    journeys: dict[SystemVariant, tuple[JourneyRecord, ...]]
+
+
+_OUTCOME_HEADER = list(OutcomeRecord._fields)
+_JOURNEY_HEADER = list(JourneyRecord._fields)
 # Every variant writes one file of each of these, ``<prefix>_<variant>.csv``.
 _VARIANT_FILES = ("outcomes", "journeys", "occupancy", "detour_ratio", "detour_km")
+# Detour bins: each but the last holds the values up to its top, inclusive.
+_RATIO_BINS = ("0%", "0-5%", "5-10%", "10-15%", ">15%")
+_RATIO_TOPS = (0.0, 0.05, 0.10, 0.15 + 1e-9)
+_KM_BINS = ("0 km", "1-5 km", "6-10 km", "11-15 km", ">15 km")
+_KM_TOPS = (0, 5, 10, 15)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+# ---- records from a comparison --------------------------------------
 
-
-def _outcome_rows(report: SimulationReport) -> list[list]:
-    rows = []
-    for o in report.outcomes:
-        if o.itinerary is None:
-            rows.append([o.rider_id, o.mode.value, "", "", "", "", ""])
+def outcome_records(outcomes: Iterable[RiderOutcome]) -> tuple[OutcomeRecord, ...]:
+    records = []
+    for o in outcomes:
+        it = o.itinerary
+        if it is None:
+            records.append(OutcomeRecord(o.rider_id, o.mode, None, None, None, None, ()))
         else:
-            rows.append(
-                [
-                    o.rider_id,
-                    o.mode.value,
-                    o.itinerary.depart,
-                    o.itinerary.arrive,
-                    repr(o.itinerary.total_walk_km),
-                    o.itinerary.total_wait_s,
-                    ";".join(str(d) for d in sorted(o.drivers_used)),
-                ]
+            records.append(
+                OutcomeRecord(
+                    o.rider_id, o.mode, it.depart, it.arrive, it.total_walk_km,
+                    it.total_wait_s, tuple(sorted(o.drivers_used)),
+                )
             )
-    return rows
+    return tuple(records)
 
 
-def _journey_rows(report: SimulationReport, result: SimulationResult) -> list[list]:
-    from .matching import _boardings_by_driver, max_onboard
-
-    boardings = _boardings_by_driver(report.outcomes, result.journeys)
-    rows = []
-    for d in sorted(result.journeys):
-        full = result.journeys[d]
-        pruned = report.pruned_journeys[d]
-        rows.append(
-            [
-                d,
-                repr(full.baseline_km),
-                repr(full.length_km),
-                repr(pruned.length_km),
-                max_onboard(full, boardings.get(d, [])),
-                int(d in report.voided_drivers),
-            ]
+def journey_records(
+    report: SimulationReport, journeys: Mapping[int, DriverJourney]
+) -> tuple[JourneyRecord, ...]:
+    """Per driver, in id order: lengths, the peak load over the full journey, voiding."""
+    boardings = _boardings_by_driver(report.outcomes, journeys)
+    return tuple(
+        JourneyRecord(
+            d,
+            journeys[d].baseline_km,
+            journeys[d].length_km,
+            report.pruned_journeys[d].length_km,
+            max_onboard(journeys[d], boardings.get(d, [])),
+            d in report.voided_drivers,
         )
-    return rows
+        for d in sorted(journeys)
+    )
+
+
+def run_records(result: SimulationResult) -> RunRecords:
+    return RunRecords(
+        result.scenario.riders,
+        {v: outcome_records(r.outcomes) for v, r in result.reports.items()},
+        {v: journey_records(r, result.journeys) for v, r in result.reports.items()},
+    )
+
+
+# ---- the aggregates -------------------------------------------------
+
+def served_ids(outcomes: Iterable, riders: Iterable[Rider], window: Window) -> frozenset[int]:
+    """Riders departing inside ``window`` whose outcome is served.
+
+    ``outcomes`` may be outcome records or rider outcomes.
+    """
+    departure = {r.rider_id: r.departure_time for r in riders}
+    return frozenset(
+        o.rider_id
+        for o in outcomes
+        if o.mode is not RiderMode.UNSERVED and window.contains(departure[o.rider_id])
+    )
+
+
+def _detour_bins(journeys: Iterable[JourneyRecord]) -> tuple[dict[str, int], dict[str, int]]:
+    """Effective detour distributions: relative and in rounded kilometres."""
+    ratio_hist = {b: 0 for b in _RATIO_BINS}
+    km_hist = {b: 0 for b in _KM_BINS}
+    for j in journeys:
+        detour = j.pruned_length_km - j.baseline_km
+        ratio = detour / j.baseline_km if j.baseline_km else 0.0
+        ratio_hist[_RATIO_BINS[bisect_left(_RATIO_TOPS, ratio)]] += 1
+        km_hist[_KM_BINS[bisect_left(_KM_TOPS, round(detour))]] += 1
+    return ratio_hist, km_hist
+
+
+def summarise(
+    records: RunRecords, stats_window: Window, model: TravelModel, em: EmissionModel
+) -> dict:
+    """Every aggregate of a run, as report.json holds it.
+
+    Modal shares and served sets count only riders departing inside the
+    stats window; occupancy, detours and voiding count every driver.
+    The car kilometres avoided by integration count riders served by
+    INTEGRATED but stranded in CURRENT: their forgone private car trips,
+    minus the effective detours of the drivers who carried them.  The
+    CO2 rate is normalised per hour of the stats window.
+    """
+    riders = {r.rider_id: r for r in records.riders}
+    summary: dict = {"variants": {}}
+    for variant, outcomes in records.outcomes.items():
+        journeys = records.journeys[variant]
+        in_window = [
+            o for o in outcomes if stats_window.contains(riders[o.rider_id].departure_time)
+        ]
+        modes = Counter(o.mode for o in in_window)
+        occupancy = Counter(j.occupancy for j in journeys)
+        ratio_hist, km_hist = _detour_bins(journeys)
+        summary["variants"][variant.value] = {
+            "riders_total": len(outcomes),
+            "riders_in_stats_window": len(in_window),
+            "modal_split_pct": {
+                m.value: 100.0 * modes[m] / len(in_window) if in_window else 0.0
+                for m in RiderMode
+            },
+            "occupancy_hist": {str(k): n for k, n in sorted(occupancy.items())},
+            "detour_ratio_hist": ratio_hist,
+            "detour_km_hist": km_hist,
+            "voided_drivers": [j.driver_id for j in journeys if j.voided],
+        }
+
+    summary["vkt_saved_km"] = None
+    summary["co2_saved_kg_per_hour"] = None
+    current = records.outcomes.get(SystemVariant.CURRENT)
+    integrated = records.outcomes.get(SystemVariant.INTEGRATED)
+    if current is not None and integrated is not None:
+        gained = served_ids(integrated, records.riders, stats_window)
+        gained -= served_ids(current, records.riders, stats_window)
+        carried_by = {o.rider_id: o.driver_ids for o in integrated}
+        vkt = 0.0
+        carriers: set[int] = set()
+        for rider_id in sorted(gained):
+            vkt += road_km(riders[rider_id].origin, riders[rider_id].destination, model)
+            carriers.update(carried_by[rider_id])
+        detour = {
+            j.driver_id: j.pruned_length_km - j.baseline_km
+            for j in records.journeys[SystemVariant.INTEGRATED]
+        }
+        vkt_saved = vkt - sum(detour[d] for d in sorted(carriers))
+        summary["vkt_saved_km"] = vkt_saved
+        summary["co2_saved_kg_per_hour"] = vkt_saved * em.grams_per_km / 1000.0 / stats_window.hours
+    return summary
 
 
 def report_summary(result: SimulationResult) -> dict:
     """The aggregate numbers of a run as one JSON-ready mapping."""
-    summary: dict = {"variants": {}}
-    for variant, report in result.reports.items():
-        summary["variants"][variant.value] = {
-            "riders_total": len(report.riders),
-            "riders_in_stats_window": len(report.stats_pairs()),
-            "modal_split_pct": report.modal_split,
-            "occupancy_hist": {str(k): v for k, v in report.occupancy_hist.items()},
-            "detour_ratio_hist": report.detour_ratio_hist,
-            "detour_km_hist": report.detour_km_hist,
-            "voided_drivers": sorted(report.voided_drivers),
-        }
-    summary["vkt_saved_km"] = result.vkt_saved_km
-    summary["co2_saved_kg_per_hour"] = result.co2_saved_kg_per_hour
-    return summary
+    return summarise(
+        run_records(result), result.scenario.config.stats_window, result.model, result.emissions
+    )
 
 
-def write_outputs(outdir: str | Path, scenario: Scenario, result: SimulationResult) -> None:
+# ---- files ----------------------------------------------------------
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ";".join(str(v) for v in value)
+    if isinstance(value, RiderMode):
+        return value.value
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def write_report(outdir: str | Path, summary: dict) -> None:
+    """report.json: the summary with sorted keys."""
+    (Path(outdir) / "report.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def write_outputs(outdir: str | Path, scenario: Scenario, result: SimulationResult) -> dict:
+    """Write a run directory and return the summary its report.json holds."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_agents(outdir / "agents.csv", scenario)
+    records = run_records(result)
+    summary = summarise(
+        records, result.scenario.config.stats_window, result.model, result.emissions
+    )
+    write_tables(outdir, records, summary)
+    write_report(outdir, summary)
+    return summary
 
-    for variant, report in result.reports.items():
-        _write_csv(outdir / f"outcomes_{variant.value}.csv", _OUTCOME_HEADER, _outcome_rows(report))
-        _write_csv(outdir / f"journeys_{variant.value}.csv", _JOURNEY_HEADER, _journey_rows(report, result))
+
+def write_tables(outdir: Path, records: RunRecords, summary: dict) -> None:
+    """The record tables of each variant and the figure data of ``summary``.
+
+    Files of a variant the records lack are removed, so that ``metrics``
+    does not rebuild report.json from an earlier run's tables.
+    """
+    for variant in SystemVariant:
+        if variant not in records.outcomes:
+            for prefix in _VARIANT_FILES:
+                (outdir / f"{prefix}_{variant.value}.csv").unlink(missing_ok=True)
+    for variant, outcomes in records.outcomes.items():
+        figures = summary["variants"][variant.value]
+        _write_csv(outdir / f"outcomes_{variant.value}.csv", _OUTCOME_HEADER, outcomes)
+        _write_csv(
+            outdir / f"journeys_{variant.value}.csv", _JOURNEY_HEADER, records.journeys[variant]
+        )
         _write_csv(
             outdir / f"occupancy_{variant.value}.csv",
             ["occupancy", "drivers"],
-            [[k, v] for k, v in report.occupancy_hist.items()],
+            figures["occupancy_hist"].items(),
         )
-        _write_csv(
-            outdir / f"detour_ratio_{variant.value}.csv",
-            ["bin", "drivers"],
-            [[b, report.detour_ratio_hist[b]] for b in _RATIO_BINS],
-        )
-        _write_csv(
-            outdir / f"detour_km_{variant.value}.csv",
-            ["bin", "drivers"],
-            [[b, report.detour_km_hist[b]] for b in _KM_BINS],
-        )
-    # A variant not run here must not leave files of an earlier run behind:
-    # ``metrics`` would rebuild report.json from them.
-    for variant in SystemVariant:
-        if variant not in result.reports:
-            for prefix in _VARIANT_FILES:
-                (outdir / f"{prefix}_{variant.value}.csv").unlink(missing_ok=True)
-
+        for name in ("detour_ratio", "detour_km"):
+            _write_csv(
+                outdir / f"{name}_{variant.value}.csv",
+                ["bin", "drivers"],
+                figures[f"{name}_hist"].items(),
+            )
     _write_csv(
         outdir / "modal_split.csv",
         ["variant", "mode", "percent"],
         [
-            [variant.value, mode, repr(report.modal_split[mode])]
-            for variant, report in result.reports.items()
-            for mode in sorted(report.modal_split)
+            [variant, mode, figures["modal_split_pct"][mode]]
+            for variant, figures in summary["variants"].items()
+            for mode in sorted(figures["modal_split_pct"])
         ],
     )
-    (outdir / "report.json").write_text(
-        json.dumps(report_summary(result), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+
+
+# ---- records from a run directory -----------------------------------
+
+def _optional(parse, text: str):
+    return parse(text) if text else None
+
+
+def _km(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} km is not finite")
+    return value
+
+
+def _journey_record(cells: list[str]) -> JourneyRecord:
+    driver_id, baseline, length, pruned, occupancy, voided = cells
+    if voided not in ("0", "1"):
+        raise ValueError(f"voided is {voided!r}, not 0 or 1")
+    return JourneyRecord(
+        int(driver_id), _km(baseline), _km(length), _km(pruned), int(occupancy), voided == "1"
     )
 
 
-# ---- metrics from saved outputs -------------------------------------
+def _outcome_record(
+    cells: list[str], rider_ids: set[int], driver_ids: set[int], journeys_file: str
+) -> OutcomeRecord:
+    rider_id, mode, depart, arrive, walk_km, wait_s, drivers = cells
+    record = OutcomeRecord(
+        int(rider_id),
+        RiderMode(mode),
+        _optional(int, depart),
+        _optional(int, arrive),
+        _optional(_km, walk_km),
+        _optional(int, wait_s),
+        tuple(int(d) for d in drivers.split(";")) if drivers else (),
+    )
+    if record.rider_id not in rider_ids:
+        raise ValueError(f"rider {record.rider_id} is not in agents.csv")
+    for d in record.driver_ids:
+        if d not in driver_ids:
+            raise ValueError(f"driver {d} is not in {journeys_file}")
+    return record
 
-def _read_csv(path: Path) -> list[dict[str, str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
+
+def read_records(outdir: str | Path) -> RunRecords:
+    """The records a simulate run wrote to ``outdir``.
+
+    A cell that does not parse, a mode that is not a rider mode, and a
+    rider or driver the other tables lack raise ``ScenarioError``
+    naming the file and line.
+    """
+    outdir = Path(outdir)
+    _, riders = read_agents(outdir / "agents.csv", 0)
+    rider_ids = {r.rider_id for r in riders}
+    outcomes, journeys = {}, {}
+    for variant in SystemVariant:
+        path = outdir / f"outcomes_{variant.value}.csv"
+        if not path.is_file():
+            continue
+        journeys_file = f"journeys_{variant.value}.csv"
+        journeys[variant] = read_csv(outdir / journeys_file, _JOURNEY_HEADER, _journey_record)
+        driver_ids = {j.driver_id for j in journeys[variant]}
+        outcomes[variant] = read_csv(
+            path,
+            _OUTCOME_HEADER,
+            lambda cells: _outcome_record(cells, rider_ids, driver_ids, journeys_file),
+        )
+    return RunRecords(riders, outcomes, journeys)
 
 
 def recompute_metrics(
@@ -158,118 +363,4 @@ def recompute_metrics(
     Works purely on outcomes_*, journeys_* and agents.csv, so it can be
     re-run long after the planner state is gone.
     """
-    outdir = Path(outdir)
-    agents = _read_csv(outdir / "agents.csv")
-    rider_rows = {int(r["id"]): r for r in agents if r["kind"] == "rider"}
-
-    summary: dict = {"variants": {}}
-    outcome_tables: dict[str, list[dict[str, str]]] = {}
-    journey_tables: dict[str, list[dict[str, str]]] = {}
-    for variant in SystemVariant:
-        path = outdir / f"outcomes_{variant.value}.csv"
-        if not path.is_file():
-            continue
-        outcomes = _read_csv(path)
-        journeys = _read_csv(outdir / f"journeys_{variant.value}.csv")
-        outcome_tables[variant.value] = outcomes
-        journey_tables[variant.value] = journeys
-
-        in_window = [
-            o for o in outcomes
-            if stats_window.contains(int(rider_rows[int(o["rider_id"])]["departure_s"]))
-        ]
-        counts = {mode.value: 0 for mode in RiderMode}
-        for o in in_window:
-            counts[o["mode"]] += 1
-        total = len(in_window)
-        split = {
-            k: (100.0 * v / total if total else 0.0) for k, v in counts.items()
-        }
-
-        occupancy: dict[str, int] = {}
-        ratio_hist = {b: 0 for b in _RATIO_BINS}
-        km_hist = {b: 0 for b in _KM_BINS}
-        for j in journeys:
-            occ = j["occupancy"]
-            occupancy[occ] = occupancy.get(occ, 0) + 1
-            baseline = float(j["baseline_km"])
-            detour = float(j["pruned_length_km"]) - baseline
-            ratio = detour / baseline if baseline else 0.0
-            if ratio <= 0:
-                ratio_hist["0%"] += 1
-            elif ratio <= 0.05:
-                ratio_hist["0-5%"] += 1
-            elif ratio <= 0.10:
-                ratio_hist["5-10%"] += 1
-            elif ratio <= 0.15 + 1e-9:
-                ratio_hist["10-15%"] += 1
-            else:
-                ratio_hist[">15%"] += 1
-            km = round(detour)
-            if km <= 0:
-                km_hist["0 km"] += 1
-            elif km <= 5:
-                km_hist["1-5 km"] += 1
-            elif km <= 10:
-                km_hist["6-10 km"] += 1
-            elif km <= 15:
-                km_hist["11-15 km"] += 1
-            else:
-                km_hist[">15 km"] += 1
-
-        summary["variants"][variant.value] = {
-            "riders_total": len(outcomes),
-            "riders_in_stats_window": total,
-            "modal_split_pct": split,
-            "occupancy_hist": {k: occupancy[k] for k in sorted(occupancy, key=int)},
-            "detour_ratio_hist": ratio_hist,
-            "detour_km_hist": km_hist,
-            "voided_drivers": sorted(
-                int(j["driver_id"]) for j in journeys if j["voided"] == "1"
-            ),
-        }
-
-    summary["vkt_saved_km"] = None
-    summary["co2_saved_kg_per_hour"] = None
-    cur = outcome_tables.get(SystemVariant.CURRENT.value)
-    integ = outcome_tables.get(SystemVariant.INTEGRATED.value)
-    if cur is not None and integ is not None:
-        def served(rows):
-            out = set()
-            for o in rows:
-                rider = rider_rows[int(o["rider_id"])]
-                if o["mode"] != RiderMode.UNSERVED.value and stats_window.contains(
-                    int(rider["departure_s"])
-                ):
-                    out.add(int(o["rider_id"]))
-            return out
-
-        gained = served(integ) - served(cur)
-        by_id = {int(o["rider_id"]): o for o in integ}
-        vkt = 0.0
-        carriers: set[int] = set()
-        for rider_id in sorted(gained):
-            row = rider_rows[rider_id]
-            origin = GeoPoint(float(row["origin_lat"]), float(row["origin_lon"]))
-            destination = GeoPoint(float(row["destination_lat"]), float(row["destination_lon"]))
-            vkt += road_km(origin, destination, model)
-            used = by_id[rider_id]["driver_ids"]
-            if used:
-                carriers |= {int(d) for d in used.split(";")}
-        detours = {
-            int(j["driver_id"]): float(j["pruned_length_km"]) - float(j["baseline_km"])
-            for j in journey_tables[SystemVariant.INTEGRATED.value]
-        }
-        vkt_saved = vkt - sum(detours[d] for d in sorted(carriers))
-        hours = stats_window.seconds / 3600.0
-        summary["vkt_saved_km"] = vkt_saved
-        summary["co2_saved_kg_per_hour"] = vkt_saved * em.grams_per_km / 1000.0 / hours
-
-    return summary
-
-
-def write_metrics(outdir: str | Path, summary: dict) -> None:
-    outdir = Path(outdir)
-    (outdir / "report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return summarise(read_records(outdir), stats_window, model, em)

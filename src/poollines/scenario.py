@@ -9,9 +9,11 @@ seed and per-agent substreams, so regeneration is order-independent.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -27,6 +29,9 @@ _KM_PER_DEG = math.pi * 6371.0088 / 180.0
 
 class ScenarioError(Exception):
     pass
+
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -223,6 +228,40 @@ def write_agents(path: str | Path, scenario: Scenario) -> None:
             )
 
 
+def read_csv(path: str | Path, header: list[str], parse: Callable[[list[str]], T]) -> tuple[T, ...]:
+    """``parse(cells)`` of every non-blank row of a CSV file, in file order.
+
+    ``cells`` are the row's values in ``header`` order, stripped, and ""
+    where the row is too short.  Bytes that are not UTF-8, text the CSV
+    reader rejects, a column the file lacks and a ValueError from
+    ``parse`` raise :class:`ScenarioError` naming the file and line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        raise ScenarioError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+    reader = csv.reader(io.StringIO(text))
+    records = []
+    try:
+        column = {key.strip(): i for i, key in enumerate(next(reader, []))}
+        missing = [key for key in header if key not in column]
+        if missing:
+            raise ScenarioError(f"{path}:1: missing column {missing[0]!r}")
+        index = [column[key] for key in header]
+        for row in reader:
+            if row:
+                records.append(parse([row[i].strip() if i < len(row) else "" for i in index]))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}:{reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        # The reader's advice after " - " is about opening files in Python.
+        reason = str(exc).split(" - ")[0]
+        raise ScenarioError(f"{path}:{reader.line_num}: unreadable CSV: {reason}") from None
+    return tuple(records)
+
+
 def read_agents(
     path: str | Path, declaration_time: int, seat_capacity: int = 4
 ) -> tuple[tuple[Driver, ...], tuple[Rider, ...]]:
@@ -230,39 +269,23 @@ def read_agents(
 
     Declaration time and seat capacity are not stored in the file; they
     come from the run configuration.  A missing column, a blank or
-    non-numeric cell and an unknown kind raise :class:`ScenarioError`
-    naming the file and line.
+    non-numeric cell, an unknown kind and bytes that are not UTF-8 raise
+    :class:`ScenarioError` naming the file and line.
     """
-    drivers: list[Driver] = []
-    riders: list[Rider] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        column = {key.strip(): i for i, key in enumerate(next(reader, []))}
-        missing = [key for key in _AGENT_HEADER if key not in column]
-        if missing:
-            raise ScenarioError(f"{path}:1: missing column {missing[0]!r}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                agent = _agent(row, column, declaration_time, seat_capacity)
-            except ValueError as exc:
-                raise ScenarioError(f"{path}:{reader.line_num}: {exc}") from None
-            (drivers if isinstance(agent, Driver) else riders).append(agent)
-    return tuple(drivers), tuple(riders)
+    agents = read_csv(
+        path, _AGENT_HEADER, lambda cells: _agent(cells, declaration_time, seat_capacity)
+    )
+    return (
+        tuple(a for a in agents if isinstance(a, Driver)),
+        tuple(a for a in agents if isinstance(a, Rider)),
+    )
 
 
-def _agent(
-    row: list[str], column: dict[str, int], declaration_time: int, seat_capacity: int
-) -> Driver | Rider:
+def _agent(cells: list[str], declaration_time: int, seat_capacity: int) -> Driver | Rider:
     """One row of an agents file; a ValueError names what is wrong with it."""
-    cells = []
-    for key in _AGENT_HEADER:
-        i = column[key]
-        value = row[i].strip() if i < len(row) else ""
+    for key, value in zip(_AGENT_HEADER, cells):
         if value == "":
             raise ValueError(f"missing value for {key!r}")
-        cells.append(value)
     kind, agent_id, olat, olon, dlat, dlon, departure_text = cells
     if kind not in ("driver", "rider"):
         raise ValueError(f"unknown agent kind {kind!r}")

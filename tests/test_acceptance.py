@@ -13,7 +13,7 @@ import pytest
 
 from oracles import OracleRouter, footpaths_from_links, random_endpoints, random_feed
 from test_gtfs import _timetables_equal
-from test_simulation import _long_od_rider, _outcome, _report
+from test_reports import _long_od_rider, _outcome, _savings
 
 from poollines.cli import main
 from poollines.drivers import compute_driver_journeys, select_meeting_points
@@ -22,14 +22,9 @@ from poollines.gtfs import parse_gtfs, with_service_date, write_gtfs
 from poollines.injection import inject_poollines, is_poolline_trip
 from poollines.matching import FeasibilityRules, RiderMode
 from poollines.planner import Planner, PlanRequest
+from poollines.reports import report_summary, served_ids
 from poollines.scenario import ScenarioConfig, generate_scenario
-from poollines.simulation import (
-    EmissionModel,
-    SystemVariant,
-    run_comparison,
-    run_variant,
-    vkt_and_co2,
-)
+from poollines.simulation import EmissionModel, SystemVariant, run_comparison, run_variant
 from poollines.synthetic import CITY_SERVICE_DATE, build_synthetic_city, city_rectangles
 
 MODEL = TravelModel()
@@ -173,19 +168,26 @@ def scenario_sweep():
     return results
 
 
-def _three(result):
-    return (
-        result.reports[SystemVariant.NO_CARPOOLING],
-        result.reports[SystemVariant.CURRENT],
-        result.reports[SystemVariant.INTEGRATED],
+def _served(result):
+    """Stats-window riders served by NO_CARPOOLING, CURRENT and INTEGRATED."""
+    window = result.scenario.config.stats_window
+    return tuple(
+        served_ids(result.reports[v].outcomes, result.scenario.riders, window)
+        for v in SystemVariant
     )
+
+
+def _figures(result):
+    """The report.json figures of NO_CARPOOLING, CURRENT and INTEGRATED."""
+    summary = report_summary(result)
+    return tuple(summary["variants"][v.value] for v in SystemVariant)
 
 
 def test_criterion_4_served_set_inclusion(scenario_sweep):
     ok = True
     for result in scenario_sweep:
-        nc, cu, ig = _three(result)
-        ok = ok and nc.served_ids() <= cu.served_ids() <= ig.served_ids()
+        nc, cu, ig = _served(result)
+        ok = ok and nc <= cu <= ig
     _verdict(
         4,
         "served sets nest across the three systems",
@@ -198,10 +200,11 @@ def test_criterion_5_unserved_share_strictly_decreases(scenario_sweep):
     ok = True
     gains = []
     for result in scenario_sweep:
-        nc, cu, ig = _three(result)
-        ok = ok and nc.unserved_share() > cu.unserved_share() > ig.unserved_share()
-        ok = ok and len(ig.served_ids()) > len(cu.served_ids())
-        gains.append(100.0 * (len(ig.served_ids()) - len(cu.served_ids())) / len(cu.served_ids()))
+        nc, cu, ig = (f["modal_split_pct"]["unserved"] for f in _figures(result))
+        ok = ok and nc > cu > ig
+        _, served_cu, served_ig = _served(result)
+        ok = ok and len(served_ig) > len(served_cu)
+        gains.append(100.0 * (len(served_ig) - len(served_cu)) / len(served_cu))
     _verdict(
         5,
         "unserved share strictly drops at each integration step",
@@ -210,15 +213,17 @@ def test_criterion_5_unserved_share_strictly_decreases(scenario_sweep):
     )
 
 
-def _multi_rider_share(report):
-    total = sum(report.occupancy_hist.values())
-    multi = sum(v for k, v in report.occupancy_hist.items() if k >= 2)
+def _multi_rider_share(figures):
+    hist = figures["occupancy_hist"]
+    total = sum(hist.values())
+    multi = sum(v for k, v in hist.items() if int(k) >= 2)
     return 100.0 * multi / total if total else 0.0
 
 
 def test_criterion_6_multi_rider_occupancy_does_not_drop(scenario_sweep):
-    current = fmean(_multi_rider_share(_three(r)[1]) for r in scenario_sweep)
-    integrated = fmean(_multi_rider_share(_three(r)[2]) for r in scenario_sweep)
+    figures = [_figures(r) for r in scenario_sweep]
+    current = fmean(_multi_rider_share(f[1]) for f in figures)
+    integrated = fmean(_multi_rider_share(f[2]) for f in figures)
     ok = integrated >= current
     _verdict(
         6,
@@ -233,9 +238,9 @@ def test_criterion_6_multi_rider_occupancy_does_not_drop(scenario_sweep):
 
 def test_criterion_7_co2_rate_for_a_known_saving():
     rider = _long_od_rider(1, 6392.0)
-    current = _report(SystemVariant.CURRENT, [rider], [_outcome(1, RiderMode.UNSERVED)])
-    integrated = _report(SystemVariant.INTEGRATED, [rider], [_outcome(1, RiderMode.TRANSIT)])
-    vkt, co2 = vkt_and_co2(current, integrated, {}, MODEL, EmissionModel())
+    vkt, co2 = _savings(
+        [rider], [_outcome(1, RiderMode.UNSERVED)], [_outcome(1, RiderMode.TRANSIT)]
+    )
     ok = abs(vkt - 6392.0) <= 1e-6 and abs(co2 - 1240.0) <= 1.0
     _verdict(
         7,

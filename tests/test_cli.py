@@ -300,8 +300,49 @@ def test_metrics_without_outputs_is_a_data_error(tmp_path, capsys):
     assert "no simulation outputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "table, column, value, in_window, reason",
+    [
+        ("outcomes_integrated.csv", "mode", "bogus", True, "'bogus' is not a valid RiderMode"),
+        # Out of the stats window too: the row still feeds the savings.
+        ("outcomes_integrated.csv", "mode", "bogus", False, "'bogus' is not a valid RiderMode"),
+        ("outcomes_integrated.csv", "rider_id", "99999", None, "rider 99999 is not in agents.csv"),
+        ("outcomes_current.csv", "driver_ids", "3;99999", None,
+         "driver 99999 is not in journeys_current.csv"),
+        ("outcomes_current.csv", "walk_km", "far", None,
+         "could not convert string to float: 'far'"),
+        ("journeys_current.csv", "baseline_km", "abc", None,
+         "could not convert string to float: 'abc'"),
+        ("journeys_integrated.csv", "voided", "2", None, "voided is '2', not 0 or 1"),
+        ("journeys_integrated.csv", "pruned_length_km", "nan", None, "'nan' km is not finite"),
+    ],
+)
+def test_malformed_run_table_is_a_data_error_naming_file_and_line(
+    workspace, tmp_path, capsys, table, column, value, in_window, reason
+):
+    root, cfg = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run_a", run)
+    _, riders = read_agents(run / "agents.csv", SIM_START)
+    stats = Window.from_texts("10:45:00", "11:15:00")
+    inside = {r.rider_id for r in riders if stats.contains(r.departure_time)}
+    path = run / table
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = next(
+        i for i, line in enumerate(lines)
+        if i and (in_window is None or (int(line.split(",")[0]) in inside) == in_window)
+    )
+    _edit_cell(row, column, value)(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report = (run / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(cfg), "--dir", str(run)]) == 2
+    assert capsys.readouterr().err == f"data error: {path}:{row + 1}: {reason}\n"
+    assert (run / "report.json").read_bytes() == report
+
+
 def _edit_cell(row: int, column: str, value: str):
-    """A recipe that sets one cell of the agents file (row 0 is the header)."""
+    """A recipe that sets one cell of a CSV file's lines (row 0 is the header)."""
     def edit(lines: list[str]) -> None:
         header = lines[0].split(",")
         cells = lines[row].split(",")
@@ -327,6 +368,10 @@ def _drop_column(column: str):
         (_edit_cell(3, "origin_lat", "north"), ":4: could not convert string to float: 'north'"),
         (_edit_cell(7, "kind", "walker"), ":8: unknown agent kind 'walker'"),
         (_edit_cell(6, "origin_lat", "95.0"), ":7: latitude out of range: 95.0"),
+        # Written as the byte 0xff, which is not UTF-8.
+        (_edit_cell(3, "kind", "rid\udcffer"), ":4: byte 0xff is not UTF-8"),
+        (_edit_cell(2, "kind", "dri\rver"),
+         ":3: unreadable CSV: new-line character seen in unquoted field"),
     ],
 )
 def test_malformed_agents_file_is_a_data_error_naming_file_and_line(tmp_path, capsys, edit, where):
@@ -336,7 +381,7 @@ def test_malformed_agents_file_is_a_data_error_naming_file_and_line(tmp_path, ca
     assert main(["generate", "--config", str(cfg), "--out", str(agents)]) == 0
     lines = agents.read_text(encoding="utf-8").splitlines()
     edit(lines)
-    agents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    agents.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     capsys.readouterr()
     rc = main(["simulate", "--config", str(cfg), "--agents", str(agents),
                "--out", str(tmp_path / "run")])
