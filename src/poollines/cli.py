@@ -3,8 +3,9 @@
 Four subcommands cover the pipeline: ``generate`` samples agents,
 ``inject`` writes the augmented feed, ``simulate`` runs the system
 comparison end to end, and ``metrics`` rebuilds aggregates from a
-finished run's files.  Exit codes: 0 on success, 1 for configuration
-problems, 2 for data problems.
+finished run's files; it writes a missing report.json and refuses to
+overwrite one that differs from them.  Exit codes: 0 on success, 1 for
+configuration problems, 2 for data problems.
 """
 from __future__ import annotations
 
@@ -17,11 +18,19 @@ from .drivers import EmptyMeetingPointSet, compute_driver_journeys, select_meeti
 from .gtfs import GtfsError, Timetable, parse_gtfs, with_service_date, write_gtfs
 from .injection import InjectionError, check_poollines_have_journeys, inject_poollines
 from .planner import Planner
-from .reports import recompute_metrics, write_outputs, write_report
+from .reports import (
+    ReportMismatch,
+    check_report,
+    recompute_metrics,
+    write_outputs,
+    write_report,
+)
 from .scenario import Scenario, ScenarioError, generate_scenario, read_agents
 from .simulation import SystemVariant, run_comparison
 
-_DATA_ERRORS = (GtfsError, InjectionError, ScenarioError, EmptyMeetingPointSet, OSError)
+_DATA_ERRORS = (
+    GtfsError, InjectionError, ScenarioError, EmptyMeetingPointSet, ReportMismatch, OSError
+)
 
 
 def _load_timetable(cfg: RunConfig) -> Timetable:
@@ -125,6 +134,7 @@ def cmd_metrics(cfg: RunConfig, directory: str | None) -> int:
     summary = recompute_metrics(
         outdir, cfg.scenario.stats_window, cfg.travel, cfg.emissions
     )
+    check_report(outdir, summary)
     write_report(outdir, summary)
     print(f"rewrote metrics in {outdir / 'report.json'}")
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import zipfile
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
@@ -140,12 +141,20 @@ def format_gtfs_time(seconds: int) -> str:
 
 
 def format_coordinate(value: float) -> str:
-    """Decimal form with at least 6 fractional digits that parses back exactly."""
-    for precision in range(6, 18):
-        text = f"{value:.{precision}f}"
-        if float(text) == value:
-            return text
-    return repr(value)
+    """Decimal form with at least 6 fractional digits that parses back exactly.
+
+    That is the fewest places, from 6 to 17, whose fixed-point form
+    parses back to ``value``; ``repr`` when none does.  The shortest
+    round-trip digits, which ``repr`` gives, fix that number of places.
+    """
+    text = repr(value)
+    if not math.isfinite(value):
+        return text
+    mantissa, _, exponent = text.partition("e")
+    places = len(mantissa.partition(".")[2]) - int(exponent or 0)
+    if places > 17:
+        return text
+    return f"{value:.{max(6, places)}f}"
 
 
 def _service_date_int(service_date: str | _date) -> tuple[int, int]:

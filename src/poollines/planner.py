@@ -21,6 +21,12 @@ at or after the arrival, since its label could never be boarded from.
 Only the connections that can matter are scanned: none before the
 earliest access arrival, none after the best arrival so far less the
 shortest egress walk.
+
+A request's set-up reads only the stops in walking range of its
+endpoints: a KD-tree over the stops' unit vectors on the sphere, built
+once per planner, finds candidates by a ball query, and the road
+distance makes the exact cut.  Its cost grows with those stops, not
+with the feed, whose stop count grows with the number of drivers.
 """
 from __future__ import annotations
 
@@ -217,21 +223,42 @@ def build_footpaths(
 
 
 @dataclass(frozen=True)
+class _StopWalks:
+    """The stops within the walking cap of one endpoint.
+
+    ``stops`` holds their indices, ascending, with the walk seconds and
+    road km of each.
+    """
+
+    stops: np.ndarray
+    seconds: np.ndarray
+    km: np.ndarray
+
+    def position(self, stop: int) -> int | None:
+        """Where ``stop`` is in ``stops``, or None when it is out of range."""
+        k = int(np.searchsorted(self.stops, stop))
+        if k < len(self.stops) and self.stops[k] == stop:
+            return k
+        return None
+
+
+@dataclass(frozen=True)
 class _RequestLinks:
     """The per-request inputs of a solve, built once for all alternatives.
 
-    The walk seconds and km index stops and hold infinity beyond the
-    cap; ``egress_s`` is a list, which the scan reads per arrival.
-    ``reach`` and ``foot_prev`` are the initial boarding labels (the
-    access arrivals) and their sources (-1 the origin, -2 none); each
-    solve copies them.  ``first_board`` is the earliest access arrival
-    and ``min_egress`` the shortest egress walk.
+    ``access`` and ``egress`` hold only the stops within walking range
+    of the origin and of the destination; both are non-empty.  The scan
+    reads three dense lists, one entry per stop, filled in at those
+    stops alone: ``egress_s`` is the egress walk (infinity beyond the
+    cap), and ``reach`` and ``foot_prev`` are the initial boarding
+    labels (the access arrivals) and their sources (-1 the origin, -2
+    none), which each solve copies.  ``first_board`` is the earliest
+    access arrival and ``min_egress`` the shortest egress walk.
     """
 
-    access_s: np.ndarray
-    access_km: np.ndarray
+    access: _StopWalks
+    egress: _StopWalks
     egress_s: list
-    egress_km: np.ndarray
     reach: list
     foot_prev: list
     first_board: float
@@ -265,6 +292,17 @@ class Planner:
     after the best arrival so far less the shortest egress walk: a ride
     from there arrives strictly later.  This assumes that no hop arrives
     before it departs, which :func:`~poollines.gtfs.parse_gtfs` enforces.
+
+    A request's set-up costs time in the stops within walking range of
+    its endpoints, not in the stops of the feed.  The build puts the
+    stops' unit vectors (cos φ cos λ, cos φ sin λ, sin φ) in a KD-tree
+    and fixes the chord of the widest walkable great-circle angle, with
+    a small margin.  Per endpoint, a ball query of that chord finds the
+    candidates, and ``circuity`` times the great-circle distance, within
+    ``max_walk_km``, makes the exact cut.  Unit vectors keep the
+    prefilter exact at any feed extent.  The road km along a stop
+    sequence is summed the first time a reconstruction rides a trip
+    that calls at it.
     """
 
     def __init__(
@@ -287,11 +325,25 @@ class Planner:
         self._positions = [timetable.stops[sid].position for sid in self._stop_ids]
         self._lat_r = np.radians(np.array([p.lat for p in self._positions]))
         self._lon_r = np.radians(np.array([p.lon for p in self._positions]))
+        cos_lat = np.cos(self._lat_r)
+        self._stop_tree = cKDTree(
+            np.column_stack(
+                (cos_lat * np.cos(self._lon_r), cos_lat * np.sin(self._lon_r), np.sin(self._lat_r))
+            )
+        )
+        # The chord of the widest walkable angle; the margin covers the
+        # rounding of the chords the tree measures.
+        angle = min(math.pi, max(0.0, max_walk_km / model.circuity / EARTH_RADIUS_KM))
+        self._walk_chord = 2.0 * math.sin(angle / 2.0) * (1.0 + 1e-9) + 1e-12
 
         self._trip_ids: list[str] = []
         self._trip_index: dict[str, int] = {}
         self._pool_flags: list[bool] = []
-        self._trip_cum_km: list[list[float]] = []
+        # Per trip, its stop sequence as an index into ``_stop_sequences``.
+        # Trips that call at the same stops share one cumulative road km
+        # list, summed when a reconstruction first rides one of them.
+        self._trip_sequence: list[int] = []
+        sequences: dict[tuple[int, ...], int] = {}
 
         # One row per hop, trip by trip: departure time, arrival time,
         # trip, position in the trip, departure stop, arrival stop.
@@ -306,10 +358,7 @@ class Planner:
             self._trip_index[trip_id] = ti
             self._pool_flags.append(is_poolline_trip(trip_id))
             stops = [self._stop_index[st.stop_id] for st in sts]
-            cum = [0.0]
-            for a, b in zip(stops, stops[1:]):
-                cum.append(cum[-1] + road_km(self._positions[a], self._positions[b], model))
-            self._trip_cum_km.append(cum)
+            self._trip_sequence.append(sequences.setdefault(tuple(stops), len(sequences)))
             hops = len(sts) - 1
             dep_t.extend([st.departure for st in sts[:-1]])
             arr_t.extend([st.arrival for st in sts[1:]])
@@ -317,6 +366,9 @@ class Planner:
             c_pos.extend(range(hops))
             dep_s.extend(stops[:-1])
             arr_s.extend(stops[1:])
+
+        self._stop_sequences = list(sequences)
+        self._sequence_cum_km: list[list[float] | None] = [None] * len(sequences)
 
         # Scan order: by departure, then arrival, trip and position.  A hop
         # is unique by (trip, position), so this is the order of a sort of
@@ -373,19 +425,34 @@ class Planner:
 
     # ---- helpers ----------------------------------------------------
 
-    def _endpoint_links(self, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
-        """Walk seconds and km from a request endpoint to every stop.
+    def _stop_walks(self, point: GeoPoint) -> _StopWalks:
+        """The stops within the walking cap of a request endpoint."""
+        lat = math.radians(point.lat)
+        lon = math.radians(point.lon)
+        near = self._stop_tree.query_ball_point(
+            (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)),
+            self._walk_chord,
+        )
+        stops = np.array(near, dtype=np.int64)
+        stops.sort()
+        road = self.model.circuity * haversine_km_to_point(
+            self._lat_r[stops], self._lon_r[stops], point
+        )
+        keep = road <= self.max_walk_km
+        road = road[keep]
+        return _StopWalks(stops[keep], _walk_seconds_vec(road, self.model), road)
 
-        Stops beyond the walking cap get infinity.
-        """
-        hav = haversine_km_to_point(self._lat_r, self._lon_r, point)
-        road = self.model.circuity * hav
-        secs = _walk_seconds_vec(road, self.model)
-        out_of_range = road > self.max_walk_km
-        secs[out_of_range] = _INF
-        road = road.copy()
-        road[out_of_range] = _INF
-        return secs, road
+    def _trip_km(self, trip_index: int) -> list[float]:
+        """Cumulative road km at each stop of a trip, from its first stop."""
+        sequence = self._trip_sequence[trip_index]
+        cum = self._sequence_cum_km[sequence]
+        if cum is None:
+            positions = [self._positions[i] for i in self._stop_sequences[sequence]]
+            cum = [0.0]
+            for a, b in zip(positions, positions[1:]):
+                cum.append(cum[-1] + road_km(a, b, self.model))
+            self._sequence_cum_km[sequence] = cum
+        return cum
 
     def _footpath_seconds_km(self, from_idx: int, to_idx: int) -> tuple[int, float]:
         a = int(self.footpaths.starts[from_idx])
@@ -419,23 +486,30 @@ class Planner:
         None when no stop is within walking reach of both endpoints, so
         the request can only walk.
         """
-        if not self._stop_ids:
+        access = self._stop_walks(req.origin)
+        if not len(access.stops):
             return None
-        access_s, access_km = self._endpoint_links(req.origin)
-        egress_s, egress_km = self._endpoint_links(req.destination)
-        walkable = np.isfinite(access_s)
-        leavable = np.isfinite(egress_s)
-        if not walkable.any() or not leavable.any():
+        egress = self._stop_walks(req.destination)
+        if not len(egress.stops):
             return None
+        n = len(self._stop_ids)
+        egress_s = [_INF] * n
+        for stop, secs in zip(egress.stops.tolist(), egress.seconds.tolist()):
+            egress_s[stop] = secs
+        boards = req.departure + access.seconds
+        reach = [_INF] * n
+        foot_prev = [-2] * n
+        for stop, at in zip(access.stops.tolist(), boards.tolist()):
+            reach[stop] = at
+            foot_prev[stop] = -1
         return _RequestLinks(
-            access_s,
-            access_km,
-            egress_s.tolist(),
-            egress_km,
-            reach=np.where(walkable, req.departure + access_s, _INF).tolist(),
-            foot_prev=np.where(walkable, -1, -2).tolist(),
-            first_board=float(req.departure + access_s[walkable].min()),
-            min_egress=float(egress_s[leavable].min()),
+            access,
+            egress,
+            egress_s,
+            reach,
+            foot_prev,
+            first_board=float(boards.min()),
+            min_egress=float(egress.seconds.min()),
         )
 
     def _solve(
@@ -531,7 +605,7 @@ class Planner:
     ) -> Itinerary:
         dep = req.departure
         dw = self.transfer_s
-        access_s = links.access_s
+        access = links.access
         egress_s = links.egress_s
         legs_rev: list[Leg] = []
         legs_rev.append(
@@ -539,7 +613,7 @@ class Planner:
                 kind="walk",
                 start=int(arr_veh[best_stop]),
                 end=int(arr_veh[best_stop] + egress_s[best_stop]),
-                distance_km=float(links.egress_km[best_stop]),
+                distance_km=float(links.egress.km[links.egress.position(best_stop)]),
                 from_point=self._positions[best_stop],
                 to_point=req.destination,
                 from_stop=self._stop_ids[best_stop],
@@ -552,7 +626,8 @@ class Planner:
             bi = board_conn[ti]
             sb = self._c_dep_s[bi]
             tb = self._c_dep_t[bi]
-            km = self._trip_cum_km[ti][self._c_pos[ci] + 1] - self._trip_cum_km[ti][self._c_pos[bi]]
+            cum = self._trip_km(ti)
+            km = cum[self._c_pos[ci] + 1] - cum[self._c_pos[bi]]
             legs_rev.append(
                 Leg(
                     kind=self._leg_kind(ti),
@@ -568,13 +643,14 @@ class Planner:
             )
             # How was the boarding stop reached?  Prefer walking straight
             # from the origin, then a same-stop change, then a footpath.
-            if access_s[sb] != _INF and dep + access_s[sb] <= tb:
+            k = access.position(sb)
+            if k is not None and dep + access.seconds[k] <= tb:
                 legs_rev.append(
                     Leg(
                         kind="walk",
                         start=dep,
-                        end=dep + int(access_s[sb]),
-                        distance_km=float(links.access_km[sb]),
+                        end=dep + int(access.seconds[k]),
+                        distance_km=float(access.km[k]),
                         from_point=req.origin,
                         to_point=self._positions[sb],
                         to_stop=self._stop_ids[sb],

@@ -231,6 +231,44 @@ def write_report(outdir: str | Path, summary: dict) -> None:
     )
 
 
+class ReportMismatch(ValueError):
+    """An existing report.json disagrees with the summary of its run's tables."""
+
+
+def check_report(outdir: str | Path, summary: dict) -> None:
+    """Raise :class:`ReportMismatch` if report.json differs from ``summary``.
+
+    The message names the first differing key in the file's sorted
+    order, as a dotted path.  A missing report.json passes.
+    """
+    path = Path(outdir) / "report.json"
+    if not path.is_file():
+        return
+    try:
+        written = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ReportMismatch(f"{path}: unreadable: {exc}") from None
+    key = _first_difference(written, json.loads(json.dumps(summary)), ())
+    if key is not None:
+        raise ReportMismatch(
+            f"{path}: {'.'.join(key) or 'the top level'} differs from the summary of "
+            "the run's tables under this config; left unchanged"
+        )
+
+
+def _first_difference(a, b, key: tuple[str, ...]) -> tuple[str, ...] | None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        for name in sorted(a.keys() | b.keys()):
+            if name not in a or name not in b:
+                return (*key, name)
+            found = _first_difference(a[name], b[name], (*key, name))
+            if found is not None:
+                return found
+        return None
+    # Compared as JSON text, so a NaN equals itself.
+    return None if json.dumps(a) == json.dumps(b) else key
+
+
 def write_outputs(outdir: str | Path, scenario: Scenario, result: SimulationResult) -> dict:
     """Write a run directory and return the summary its report.json holds."""
     outdir = Path(outdir)

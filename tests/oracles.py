@@ -15,7 +15,13 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from poollines.geo import EARTH_RADIUS_KM, GeoPoint, TravelModel, haversine_km
+from poollines.geo import (
+    EARTH_RADIUS_KM,
+    GeoPoint,
+    TravelModel,
+    haversine_km,
+    haversine_km_to_point,
+)
 from poollines.gtfs import (
     CalendarRow,
     GtfsStopTime,
@@ -208,12 +214,29 @@ class OracleRouter:
 class ReferencePlanner(Planner):
     """:class:`Planner` with the scan it had before the boarding label.
 
-    The build is the package's; the scan relaxes every footpath link of
+    The build is the package's.  The access and egress walks are
+    computed to every stop, not to the stops a ball query finds, and the
+    scan relaxes every footpath link of
     an improved arrival with a numpy mask, keeps a footpath label apart
     from the vehicle label, checks banned trips in a set and scans from
     the request's departure to the best arrival.  Its itineraries are
     the reference for the package's, leg for leg.
     """
+
+    def _endpoint_links(self, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
+        """Walk seconds and km from a request endpoint to every stop.
+
+        The dense computation the package had before its KD-tree ball
+        query: one haversine over all stops, infinity beyond the cap.
+        """
+        hav = haversine_km_to_point(self._lat_r, self._lon_r, point)
+        road = self.model.circuity * hav
+        secs = np.maximum(0.0, np.ceil(road * 3600.0 / self.model.walk_speed_kmh - 1e-9))
+        out_of_range = road > self.max_walk_km
+        secs[out_of_range] = math.inf
+        road = road.copy()
+        road[out_of_range] = math.inf
+        return secs, road
 
     def _request_links(self, req: PlanRequest) -> tuple[np.ndarray, ...] | None:
         """Access and egress walks of a request, shared by its alternatives.
@@ -330,7 +353,8 @@ class ReferencePlanner(Planner):
             bi = board_conn[ti]
             sb = self._c_dep_s[bi]
             tb = self._c_dep_t[bi]
-            km = self._trip_cum_km[ti][self._c_pos[ci] + 1] - self._trip_cum_km[ti][self._c_pos[bi]]
+            cum = self._trip_km(ti)
+            km = cum[self._c_pos[ci] + 1] - cum[self._c_pos[bi]]
             legs_rev.append(
                 Leg(
                     kind=self._leg_kind(ti),

@@ -184,6 +184,81 @@ def test_metrics_rebuilds_report_json_from_the_files(workspace, capsys):
     rc = main(["metrics", "--config", str(cfg), "--dir", str(copy)])
     assert rc == 0
     assert (copy / "report.json").read_bytes() == original
+    # On the intact directory it rebuilds the same bytes.
+    assert main(["metrics", "--config", str(cfg), "--dir", str(copy)]) == 0
+    assert (copy / "report.json").read_bytes() == original
+
+
+def _leaves(value, key=()):
+    """(dotted key, JSON text) of every non-dict value, in sorted key order."""
+    if isinstance(value, dict):
+        for name in sorted(value):
+            yield from _leaves(value[name], (*key, name))
+    else:
+        yield ".".join(key), json.dumps(value)
+
+
+def test_metrics_with_another_stats_window_refuses_to_overwrite(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run_a", run)
+    report = (run / "report.json").read_bytes()
+    other = json.loads(cfg.read_text(encoding="utf-8"))
+    other["scenario"]["stats_window"] = ["10:30:00", "11:30:00"]
+    other_cfg = tmp_path / "other.json"
+    other_cfg.write_text(json.dumps(other), encoding="utf-8")
+
+    # The key the refusal must name: the first leaf whose value differs
+    # from what a fresh run directory gets under the other window.
+    fresh = tmp_path / "fresh"
+    shutil.copytree(root / "run_a", fresh)
+    (fresh / "report.json").unlink()
+    assert main(["metrics", "--config", str(other_cfg), "--dir", str(fresh)]) == 0
+    before = list(_leaves(json.loads(report)))
+    after = list(_leaves(json.loads((fresh / "report.json").read_text(encoding="utf-8"))))
+    assert [k for k, _ in before] == [k for k, _ in after]
+    key = next(k for (k, a), (_, b) in zip(before, after) if a != b)
+
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(other_cfg), "--dir", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {run / 'report.json'}: {key} differs ")
+    assert (run / "report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda report: report.update(extra=1), "extra"),
+        (lambda report: report.pop("vkt_saved_km"), "vkt_saved_km"),
+        (lambda report: report["variants"]["integrated"].update(riders_total=-1),
+         "variants.integrated.riders_total"),
+    ],
+)
+def test_metrics_names_the_first_edited_key_of_report_json(workspace, tmp_path, capsys, edit, key):
+    root, cfg = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run_a", run)
+    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    edit(report)
+    (run / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    edited = (run / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(cfg), "--dir", str(run)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {run / 'report.json'}: {key} differs ")
+    assert (run / "report.json").read_bytes() == edited
+
+
+@pytest.mark.parametrize("garbage", [b"\xff\xfe", b"{\"variants\": "])
+def test_metrics_refuses_to_overwrite_an_unreadable_report_json(workspace, tmp_path, capsys, garbage):
+    root, cfg = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run_a", run)
+    (run / "report.json").write_bytes(garbage)
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(cfg), "--dir", str(run)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {run / 'report.json'}: unreadable: ")
+    assert (run / "report.json").read_bytes() == garbage
 
 
 # ---- exit codes -----------------------------------------------------

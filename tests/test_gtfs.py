@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from poollines.geo import GeoPoint, TravelModel
 from poollines.gtfs import (
@@ -91,6 +93,35 @@ def test_format_coordinate_parses_back_exactly():
         text = format_coordinate(value)
         assert float(text) == value
         assert len(text.split(".")[1]) >= 6
+
+
+def _format_coordinate_by_search(value: float) -> str:
+    """The fewest places from 6 to 17 whose fixed-point form parses back, else repr."""
+    for precision in range(6, 18):
+        text = f"{value:.{precision}f}"
+        if float(text) == value:
+            return text
+    return repr(value)
+
+
+@given(
+    st.one_of(
+        st.floats(),
+        st.floats(-180.0, 180.0),
+        st.builds(lambda k, sign: sign * 2.0**k, st.integers(-1074, 1023), st.sampled_from([1.0, -1.0])),
+        st.builds(round, st.floats(-180.0, 180.0), st.integers(0, 17)),
+    )
+)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(1e300)
+@example(1e-5)
+@example(float("inf"))
+@example(float("-inf"))
+@example(float("nan"))
+def test_format_coordinate_equals_the_search_over_precisions(value):
+    assert format_coordinate(value) == _format_coordinate_by_search(value)
 
 
 # ---- round trips ----------------------------------------------------

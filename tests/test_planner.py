@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poollines.drivers import Driver, MeetingPointSet, compute_driver_journeys
-from poollines.geo import GeoPoint, TravelModel, walk_seconds
+from poollines.geo import GeoPoint, TravelModel, haversine_km_to_point, road_km, walk_seconds
 from poollines.gtfs import GtfsStopTime, Route, Stop, Timetable, Trip
 from poollines.injection import inject_poollines, is_poolline_trip, origin_stop_id
 from poollines.planner import (
@@ -677,6 +677,126 @@ def test_every_mode_and_alternative_equals_the_reference_scan_leg_for_leg(
         for mode in PlanMode:
             req = PlanRequest(org, dst, dep, mode=mode)
             assert _leg_bits(planner.plan(req)) == _leg_bits(reference.plan(req))
+
+
+# ---- access and egress walks -----------------------------------------
+
+
+@st.composite
+def _walk_cases(draw):
+    """Stops, two endpoints and a walking cap.
+
+    Either a city: stops in a 5 km box plus a few far away, endpoints
+    in and around the box, so some have no stop in range.  Or the
+    globe: stops anywhere, endpoints on or near them, caps up to more
+    than half the circumference.  Endpoints may sit on a stop.
+    """
+    if draw(st.booleans()):
+        stops = draw(_stop_sets())
+        box = st.builds(GeoPoint, st.floats(44.98, 45.07), st.floats(-122.33, -122.2))
+        caps = st.sampled_from([0.0, 0.4, 2.5])
+        shift = 0.01
+    else:
+        points = draw(st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)), max_size=30))
+        stops = _stops(points)
+        box = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+        caps = st.sampled_from([2.5, 500.0, 5000.0, 40000.0])
+        shift = 1.0
+    if stops:
+        on = st.sampled_from([s.position for s in stops.values()])
+        near = on.flatmap(
+            lambda p: st.builds(
+                GeoPoint,
+                st.floats(max(-90.0, p.lat - shift), min(90.0, p.lat + shift)),
+                st.floats(max(-180.0, p.lon - shift), min(180.0, p.lon + shift)),
+            )
+        )
+        box = st.one_of(box, on, near)
+    return stops, draw(box), draw(box), draw(caps)
+
+
+def _timetable_of(stops) -> Timetable:
+    return Timetable(stops, {}, {}, {}, (), (), {})
+
+
+def _assert_walks_equal_dense(walks, secs: np.ndarray, km: np.ndarray) -> None:
+    finite = np.isfinite(secs)
+    assert np.array_equal(np.isfinite(km), finite)
+    assert walks.stops.dtype == np.int64
+    assert walks.stops.tobytes() == np.flatnonzero(finite).astype(np.int64).tobytes()
+    assert walks.seconds.tobytes() == secs[finite].tobytes()
+    assert walks.km.tobytes() == km[finite].tobytes()
+
+
+@settings(deadline=None)
+@given(case=_walk_cases(), at_cap=st.integers(-1, 29))
+@example(case=({}, P, R, 2.5), at_cap=-1)
+@example(case=(_stops([(45.0, -122.3)]), P, R, 2.5), at_cap=-1)
+@example(case=(_stops([(45.0, -122.3)]), P, P, 0.0), at_cap=-1)
+@example(case=(_stops([(45.0, -122.3)]), R, P, 2.5), at_cap=0)
+@example(case=(_stops([(45.0, -122.3), (-45.0, 57.7)]), P, P, 40000.0), at_cap=1)
+def test_walks_in_range_equal_the_dense_reference_bit_for_bit(case, at_cap):
+    """The sparse access and egress walks against a haversine to every stop.
+
+    With ``at_cap`` naming a stop, the cap is set to the dense road
+    distance from the origin to that stop, which puts it exactly on the
+    cap.
+    """
+    stops, origin, destination, cap = case
+    t = _timetable_of(stops)
+    if 0 <= at_cap < len(stops):
+        dense = ReferencePlanner(t, MODEL, max_walk_km=cap)
+        cap = float(MODEL.circuity * haversine_km_to_point(dense._lat_r, dense._lon_r, origin)[at_cap])
+    planner = Planner(t, MODEL, max_walk_km=cap)
+    dense = ReferencePlanner(t, MODEL, max_walk_km=cap)
+    if 0 <= at_cap < len(stops):
+        assert at_cap in planner._stop_walks(origin).stops.tolist()
+    walks = {}
+    for point in (origin, destination):
+        walks[point] = dense._endpoint_links(point)
+        _assert_walks_equal_dense(planner._stop_walks(point), *walks[point])
+
+    links = planner._request_links(PlanRequest(origin, destination, 30000))
+    access_s, _ = walks[origin]
+    egress_s, _ = walks[destination]
+    walkable = np.isfinite(access_s)
+    leavable = np.isfinite(egress_s)
+    if not walkable.any() or not leavable.any():
+        assert links is None
+        return
+    assert links.egress_s == egress_s.tolist()
+    assert links.reach == np.where(walkable, 30000 + access_s, np.inf).tolist()
+    assert links.foot_prev == np.where(walkable, -1, -2).tolist()
+    assert links.first_board == float(30000 + access_s[walkable].min())
+    assert links.min_egress == float(egress_s[leavable].min())
+
+
+@settings(deadline=None, max_examples=30)
+@given(feed_seed=st.integers(0, 2**32 - 1))
+def test_trip_km_is_summed_on_first_use_hop_by_hop(feed_seed):
+    t, _ = random_feed(np.random.default_rng(feed_seed), MODEL)
+    # A later copy of every trip calls at the same stops.
+    stoptimes = dict(t.stoptimes)
+    for trip_id, sts in t.stoptimes.items():
+        copy_id = f"{trip_id}_later"
+        stoptimes[copy_id] = tuple(
+            GtfsStopTime(copy_id, x.stop_id, x.arrival + 600, x.departure + 600, x.stop_sequence)
+            for x in sts
+        )
+    trips = {tid: Trip(tid, "R00", "ALL") for tid in stoptimes}
+    t = Timetable(t.stops, t.routes, trips, stoptimes, t.calendar, (), {})
+    planner = Planner(t, MODEL)
+    assert all(cum is None for cum in planner._sequence_cum_km)
+    by_stops = {}
+    for ti, trip_id in enumerate(planner._trip_ids):
+        stops = tuple(x.stop_id for x in t.stoptimes[trip_id])
+        positions = [t.stops[s].position for s in stops]
+        want = [0.0]
+        for a, b in zip(positions, positions[1:]):
+            want.append(want[-1] + road_km(a, b, MODEL))
+        got = planner._trip_km(ti)
+        assert got == want
+        assert got is by_stops.setdefault(stops, got)
 
 
 # ---- request plumbing -----------------------------------------------
