@@ -100,10 +100,6 @@ class MeetingPointSet:
         if not self.stops:
             raise EmptyMeetingPointSet("meeting point set is empty")
 
-    def nearest(self, point: GeoPoint) -> Stop:
-        """The stop closest to ``point``; see :meth:`nearest_many`."""
-        return self.nearest_many([point])[0]
-
     def nearest_many(self, points: Sequence[GeoPoint]) -> list[Stop]:
         """For each point, the stop closest to it by great-circle distance.
 

@@ -14,19 +14,26 @@ transfer needs no buffer beyond its own walking time.
 
 The scan keeps one boarding label per stop: the earliest time a rider
 can stand there ready to board, whether by the access walk, by a
-vehicle arrival plus ``transfer_s``, or by a footpath.  Footpaths are
-relaxed in order of the last departure from their target, latest
-first, and a relaxation stops at the first target that nothing leaves
-at or after the arrival, since its label could never be boarded from.
-Only the connections that can matter are scanned: none before the
-earliest access arrival, none after the best arrival so far less the
-shortest egress walk.
+vehicle arrival plus ``transfer_s``, or by a footpath.  Each planner
+mode has its own footpath fans, holding only the links to stops that
+a vehicle of that mode leaves.  A fan is ordered by the walk seconds
+less the mode's last departure from the target, and a relaxation
+reads only its prefix of links whose walk ends by that departure:
+a later label could never be boarded from.  Only the connections that
+can matter are scanned: none before the earliest access arrival, none
+after the best arrival so far less the shortest egress walk.
+
+Footpaths are built only from stops where a vehicle arrives to stops
+where one departs, by querying a KD-tree over the first set against
+one over the second.
 
 A request's set-up reads only the stops in walking range of its
 endpoints: a KD-tree over the stops' unit vectors on the sphere, built
 once per planner, finds candidates by a ball query, and the road
 distance makes the exact cut.  Its cost grows with those stops, not
-with the feed, whose stop count grows with the number of drivers.
+with the feed, whose stop count grows with the number of drivers.  The
+set-up does not depend on the mode, and the planner keeps the last
+one, so a rider's modes solved back to back share it.
 """
 from __future__ import annotations
 
@@ -36,6 +43,7 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -162,14 +170,16 @@ def build_footpaths(
 ) -> FootpathSet:
     """Walking links between pairs of stops within the road-km cap.
 
-    A KD-tree over a local flat projection prefilters candidates with a
-    safety margin; exact great-circle distances make the final cut, so
-    the result is identical to the quadratic scan.  Without masks both
-    directions of every pair are kept.  ``sources`` and ``targets`` are
-    boolean masks over the sorted stop ids: only links from a flagged
-    source to a flagged target are built, and the result equals
-    ``build_footpaths(t, model, max_walk_km).restricted(sources, targets)``
-    bit for bit.
+    ``sources`` and ``targets`` are boolean masks over the sorted stop
+    ids; only links from a flagged source to a flagged target are built,
+    and without masks every stop is both.  A KD-tree over the sources
+    and one over the targets, in a local flat projection, find the
+    candidate pairs with a safety margin; exact great-circle distances
+    make the final cut, so the result is identical to the quadratic
+    scan.  The distance of a pair is computed from its lower-indexed
+    stop, so both directions of a link carry the same bits, and the
+    masked result equals
+    ``build_footpaths(t, model, max_walk_km).restricted(sources, targets)``.
     """
     stop_ids = tuple(sorted(t.stops))
     n = len(stop_ids)
@@ -187,39 +197,31 @@ def build_footpaths(
         (EARTH_RADIUS_KM * np.cos(mid) * lon_r, EARTH_RADIUS_KM * lat_r)
     )
     radius = max_walk_km / model.circuity
-    pairs = cKDTree(xy).query_pairs(r=radius * 1.05 + 0.01, output_type="ndarray")
-    a = pairs[:, 0].astype(np.int64)
-    b = pairs[:, 1].astype(np.int64)
-    everywhere = np.ones(n, dtype=bool)
-    sources = everywhere if sources is None else sources
-    targets = everywhere if targets is None else targets
-    forward = sources[a] & targets[b]
-    backward = sources[b] & targets[a]
-    used = forward | backward
-    a, b, forward, backward = a[used], b[used], forward[used], backward[used]
+    src = np.arange(n) if sources is None else np.flatnonzero(sources)
+    dst = np.arange(n) if targets is None else np.flatnonzero(targets)
+    pairs = cKDTree(xy[src]).sparse_distance_matrix(
+        cKDTree(xy[dst]), radius * 1.05 + 0.01, output_type="ndarray"
+    )
+    a = src[pairs["i"]]
+    b = dst[pairs["j"]]
+    distinct = a != b
+    a, b = a[distinct], b[distinct]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
     h = (
-        np.sin((lat_r[b] - lat_r[a]) / 2.0) ** 2
-        + np.cos(lat_r[a]) * np.cos(lat_r[b]) * np.sin((lon_r[b] - lon_r[a]) / 2.0) ** 2
+        np.sin((lat_r[hi] - lat_r[lo]) / 2.0) ** 2
+        + np.cos(lat_r[lo]) * np.cos(lat_r[hi]) * np.sin((lon_r[hi] - lon_r[lo]) / 2.0) ** 2
     )
     hav = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
     road = model.circuity * hav
     keep = road <= max_walk_km
     a, b, road = a[keep], b[keep], road[keep]
-    forward, backward = forward[keep], backward[keep]
     # Through int64, so a zero-length link gets 0.0 seconds, not ceil's -0.0.
     secs = _walk_seconds_vec(road, model).astype(np.int64).astype(np.float64)
 
-    source = np.concatenate((a[forward], b[backward]))
-    target = np.concatenate((b[forward], a[backward]))
-    order = np.lexsort((target, source))
-    starts[1:] = np.cumsum(np.bincount(source, minlength=n))
-    return FootpathSet(
-        stop_ids,
-        starts,
-        target[order],
-        np.concatenate((secs[forward], secs[backward]))[order],
-        np.concatenate((road[forward], road[backward]))[order],
-    )
+    order = np.argsort(a * n + b)
+    starts[1:] = np.cumsum(np.bincount(a, minlength=n))
+    return FootpathSet(stop_ids, starts, b[order], secs[order], road[order])
 
 
 @dataclass(frozen=True)
@@ -240,6 +242,22 @@ class _StopWalks:
         if k < len(self.stops) and self.stops[k] == stop:
             return k
         return None
+
+
+class _FanTable(NamedTuple):
+    """One mode's footpaths in CSR layout, as the scan relaxes them.
+
+    For source stop i the links are ``[starts[i], starts[i+1])``, with
+    targets, walk seconds and ``key``: the walk seconds less the last
+    departure of the mode from the target, ascending.  A walk begun at
+    ``at`` reaches a target before that departure exactly when its key
+    is at most ``-at``.
+    """
+
+    starts: list
+    targets: array
+    seconds: array
+    key: array
 
 
 @dataclass(frozen=True)
@@ -275,13 +293,15 @@ class Planner:
     :func:`build_footpaths`; a ``footpaths`` argument is cut down to
     them with :meth:`FootpathSet.restricted`.
 
-    The scan reads its own copy of these links, with each source's fan
-    ordered by the last departure from the target over all modes,
-    latest first.  A footpath walked from an arrival at ``at`` gives a
-    label of at least ``at``, which nothing boards from at a target
-    whose last departure is earlier, and every target after that one
-    in the fan departs no later.  So a relaxation stops at the first
-    such target, found by bisection, and the answers stay those of
+    The scan reads its own copy of these links, one table per mode.  A
+    mode's table keeps the links whose target some connection of that
+    mode leaves, and orders each source's fan by the key ``walk_s -
+    (last departure of the mode from the target)``.  A footpath walked
+    from an arrival at ``at`` gives the label ``at + walk_s``, which
+    nothing of the mode boards from when it is later than that last
+    departure, that is when the key exceeds ``-at``.  So a relaxation
+    reads the fan's prefix of keys up to ``-at``, found by bisection,
+    and boarding, the footpath sources and the answers stay those of
     relaxing every link.
 
     A stop's boarding label is the minimum of its access arrival, its
@@ -300,9 +320,11 @@ class Planner:
     a small margin.  Per endpoint, a ball query of that chord finds the
     candidates, and ``circuity`` times the great-circle distance, within
     ``max_walk_km``, makes the exact cut.  Unit vectors keep the
-    prefilter exact at any feed extent.  The road km along a stop
-    sequence is summed the first time a reconstruction rides a trip
-    that calls at it.
+    prefilter exact at any feed extent.  That set-up does not depend on
+    the mode, so the planner keeps the last request's, keyed by origin,
+    destination and departure: the modes of one rider, asked back to
+    back, share it.  The road km along a stop sequence is summed the
+    first time a reconstruction rides a trip that calls at it.
     """
 
     def __init__(
@@ -335,6 +357,8 @@ class Planner:
         # rounding of the chords the tree measures.
         angle = min(math.pi, max(0.0, max_walk_km / model.circuity / EARTH_RADIUS_KM))
         self._walk_chord = 2.0 * math.sin(angle / 2.0) * (1.0 + 1e-9) + 1e-12
+        # (origin, destination, departure) and the links of the last request.
+        self._last_links: tuple = (None, None)
 
         self._trip_ids: list[str] = []
         self._trip_index: dict[str, int] = {}
@@ -390,12 +414,14 @@ class Planner:
         # Per mode, the connections it may use, in scan order, and their
         # departure times.
         pool = np.array(self._pool_flags, dtype=bool)[c_trip]
-        no_pool = np.flatnonzero(~pool)
-        pool_only = np.flatnonzero(pool)
+        mode_rows = {
+            PlanMode.TRANSIT: np.arange(len(dep_t)),
+            PlanMode.TRANSIT_NO_POOL: np.flatnonzero(~pool),
+            PlanMode.POOL_ONLY: np.flatnonzero(pool),
+        }
         self._mode_conns = {
-            PlanMode.TRANSIT: (range(len(dep_t)), dep_t),
-            PlanMode.TRANSIT_NO_POOL: (no_pool.tolist(), dep_t[no_pool]),
-            PlanMode.POOL_ONLY: (pool_only.tolist(), dep_t[pool_only]),
+            mode: (range(len(dep_t)) if mode is PlanMode.TRANSIT else rows.tolist(), dep_t[rows])
+            for mode, rows in mode_rows.items()
         }
 
         arriving = np.zeros(len(self._stop_ids), dtype=bool)
@@ -407,21 +433,34 @@ class Planner:
         else:
             self.footpaths = footpaths.restricted(arriving, departing)
 
-        # The scan's copy of the links: each source's fan ordered by the
-        # last departure from its target, latest first, with minus that
-        # departure as the ascending key a bisection reads.  Every target
-        # departs, so its last departure is set.
+        # Per mode, the scan's copy of the links it can board from: those
+        # whose target some connection of the mode leaves, each source's
+        # fan ordered by walk seconds less the mode's last departure from
+        # the target, the key a bisection reads.
         fp = self.footpaths
-        last_dep = np.full(len(self._stop_ids), -1, dtype=np.int64)
-        np.maximum.at(last_dep, dep_s, dep_t)
-        source = np.repeat(np.arange(len(self._stop_ids), dtype=np.int64), np.diff(fp.starts))
-        fan_key = -last_dep[fp.targets]
-        span = int(last_dep.max(initial=0)) + 1
-        order = np.argsort(source * span + fan_key, kind="stable")
-        self._fan_starts = fp.starts.tolist()
-        self._fan_targets = array("q", fp.targets[order].astype(np.int64, copy=False).tobytes())
-        self._fan_seconds = array("d", fp.seconds[order].astype(np.float64, copy=False).tobytes())
-        self._fan_key = array("q", fan_key[order].tobytes())
+        n = len(self._stop_ids)
+        source = np.repeat(np.arange(n, dtype=np.int64), np.diff(fp.starts))
+        # Walk seconds are whole, so the keys are exact integers.
+        walk = fp.seconds.astype(np.int64)
+        self._fans: dict[PlanMode, _FanTable] = {}
+        for mode, rows in mode_rows.items():
+            departs = np.zeros(n, dtype=bool)
+            departs[dep_s[rows]] = True
+            last_dep = np.zeros(n, dtype=np.int64)
+            np.maximum.at(last_dep, dep_s[rows], dep_t[rows])
+            key = walk - last_dep[fp.targets]
+            lo = int(key.min(initial=0))
+            span = int(key.max(initial=0)) - lo + 1
+            links = np.flatnonzero(departs[fp.targets])
+            order = links[np.argsort((source * span + (key - lo))[links], kind="stable")]
+            starts = np.zeros(n + 1, dtype=np.int64)
+            starts[1:] = np.cumsum(np.bincount(source[order], minlength=n))
+            self._fans[mode] = _FanTable(
+                starts.tolist(),
+                array("q", fp.targets[order].astype(np.int64, copy=False).tobytes()),
+                array("d", fp.seconds[order].astype(np.float64, copy=False).tobytes()),
+                array("q", key[order].tobytes()),
+            )
 
     # ---- helpers ----------------------------------------------------
 
@@ -484,8 +523,16 @@ class Planner:
         """Access and egress walks of a request, shared by its alternatives.
 
         None when no stop is within walking reach of both endpoints, so
-        the request can only walk.
+        the request can only walk.  The last request's links are kept:
+        they do not depend on the mode, and a rider's modes are solved
+        back to back.
         """
+        key = (req.origin, req.destination, req.departure)
+        if self._last_links[0] != key:
+            self._last_links = (key, self._new_request_links(req))
+        return self._last_links[1]
+
+    def _new_request_links(self, req: PlanRequest) -> _RequestLinks | None:
         access = self._stop_walks(req.origin)
         if not len(access.stops):
             return None
@@ -545,10 +592,7 @@ class Planner:
         c_arr_s = self._c_arr_s
         c_arr_t = self._c_arr_t
         c_trip = self._c_trip
-        fan_starts = self._fan_starts
-        fan_targets = self._fan_targets
-        fan_seconds = self._fan_seconds
-        fan_key = self._fan_key
+        fan_starts, fan_targets, fan_seconds, fan_key = self._fans[req.mode]
 
         conns, times = self._mode_conns[req.mode]
         lo = int(np.searchsorted(times, links.first_board, side="left"))
@@ -581,8 +625,9 @@ class Planner:
                         best_stop = sa
                         best_egress = e
                         limit = best - min_egress
-                # Relax the fan's prefix of targets something leaves at or
-                # after ``at``; the first link is checked before bisecting.
+                # Relax the fan's prefix of links whose walk ends by the last
+                # departure from the target; the first link is checked
+                # before bisecting.
                 a = fan_starts[sa]
                 b = fan_starts[sa + 1]
                 if a == b or fan_key[a] > -at:

@@ -171,7 +171,7 @@ def test_batch_is_order_independent():
 
 def test_nearest_breaks_ties_by_stop_id():
     points = _points(("B", 0.0, 0.01), ("A", 0.0, -0.01))
-    assert points.nearest(GeoPoint(0.0, 0.0)).stop_id == "A"
+    assert [s.stop_id for s in points.nearest_many([GeoPoint(0.0, 0.0)])] == ["A"]
 
 
 @st.composite
@@ -216,7 +216,8 @@ def test_nearest_many_equals_the_scalar_rule(case, block_cells):
     with mock.patch.object(drivers, "_NEAREST_BLOCK_CELLS", block_cells):
         got = points.nearest_many(queries)
     assert got == [reference_nearest(stops, q) for q in queries]
-    assert [points.nearest(q) for q in queries] == got
+    # One point at a time gives the same stops as the batch.
+    assert [points.nearest_many([q])[0] for q in queries] == got
 
 
 def test_batch_equals_one_journey_at_a_time():

@@ -243,6 +243,34 @@ def test_tie_with_direct_walk_stays_on_foot():
 # ---- plan modes -----------------------------------------------------
 
 
+def test_each_mode_walks_to_the_stops_its_own_vehicles_leave():
+    # A carpool and a bus both reach Q.  A short walk away, only a carpool
+    # leaves Q2 and only a bus leaves Q3.
+    q3 = GeoPoint(45.0, -122.272)
+    t = make_timetable(
+        {"P": P, "Q": Q, "Q2": Q2, "Q3": q3, "R": R},
+        {
+            "11622387001": [("P", 1000, 1000), ("Q", 1600, 1600)],
+            "11622387002": [("Q2", 1900, 1900), ("R", 2600, 2600)],
+            "T1": [("P", 1000, 1000), ("Q", 1600, 1600)],
+            "T2": [("Q3", 1900, 1900), ("R", 2700, 2700)],
+        },
+    )
+    planner = Planner(t, MODEL)
+    reference = ReferencePlanner(t, MODEL)
+    want = {
+        PlanMode.TRANSIT: (2600, "11622387002"),
+        PlanMode.TRANSIT_NO_POOL: (2700, "T2"),
+        PlanMode.POOL_ONLY: (2600, "11622387002"),
+    }
+    for mode, (arrive, last_trip) in want.items():
+        req = PlanRequest(P, R, 900, mode=mode)
+        it = planner.earliest_arrival(req)
+        assert (it.arrive, _ride_trips(it)[-1]) == (arrive, last_trip)
+        assert len(it.ride_legs) == 2
+        assert planner.plan(req) == reference.plan(req)
+
+
 def _mode_fixture():
     return make_timetable(
         {"P": P, "R": R},
@@ -518,15 +546,32 @@ def _assert_bit_identical(got: FootpathSet, want: FootpathSet) -> None:
 
 
 @settings(deadline=None)
-@given(stops=_stop_sets(), cap=st.sampled_from([0.0, 0.4, 2.5]), data=st.data())
-def test_masked_footpaths_equal_the_restricted_full_set_bit_for_bit(stops, cap, data):
+@given(
+    stops=_stop_sets(),
+    cap=st.sampled_from([0.0, 0.4, 2.5]),
+    flags=st.lists(st.sampled_from(["", "a", "d", "ad"]), max_size=40),
+)
+# Co-located stops, some both arriving ("a", a source) and departing ("d",
+# a target): zero-length links both ways, and no link from a stop to itself.
+@example(
+    stops=_stops([(45.01, -122.29)] * 3 + [(45.011, -122.29), (46.5, -119.5)]),
+    cap=2.5,
+    flags=["ad", "ad", "a", "d", "ad"],
+)
+@example(stops=_stops([(45.01, -122.29)] * 2), cap=0.4, flags=["ad", "d"])
+def test_masked_footpaths_equal_the_restricted_full_set_bit_for_bit(stops, cap, flags):
     t = Timetable(stops, {}, {}, {}, (), (), {})
-    masks = st.lists(st.booleans(), min_size=len(stops), max_size=len(stops))
-    sources = np.array(data.draw(masks), dtype=bool)
-    targets = np.array(data.draw(masks), dtype=bool)
+    # Stops beyond the drawn flags both arrive and depart.
+    flags = (flags + ["ad"] * len(stops))[: len(stops)]
+    sources = np.array(["a" in f for f in flags], dtype=bool)
+    targets = np.array(["d" in f for f in flags], dtype=bool)
     got = build_footpaths(t, MODEL, cap, sources, targets)
     _assert_bit_identical(got, build_footpaths(t, MODEL, cap).restricted(sources, targets))
     _assert_bit_identical(got, reference_build_footpaths(t, MODEL, cap).restricted(sources, targets))
+    source = np.repeat(np.arange(len(stops)), np.diff(got.starts))
+    assert not np.any(source == got.targets)
+    zero = got.km == 0.0
+    assert got.seconds[zero].tobytes() == np.zeros(int(zero.sum())).tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -677,6 +722,79 @@ def test_every_mode_and_alternative_equals_the_reference_scan_leg_for_leg(
         for mode in PlanMode:
             req = PlanRequest(org, dst, dep, mode=mode)
             assert _leg_bits(planner.plan(req)) == _leg_bits(reference.plan(req))
+
+
+@settings(deadline=None, max_examples=60)
+@given(feed_seed=st.integers(0, 2**32 - 1), drivers=st.integers(0, 16))
+def test_each_mode_relaxes_exactly_the_links_to_stops_it_departs_from(feed_seed, drivers):
+    """Each mode's fans hold the planner's links whose target some trip
+    of the mode leaves, keyed by walk seconds less the mode's last
+    departure from the target, the keys ascending within each source."""
+    t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
+    planner = Planner(t, MODEL)
+    links = _links(planner.footpaths)
+    for mode, allowed in _MODE_TRIPS:
+        last: dict[str, int] = {}
+        for trip_id, sts in t.stoptimes.items():
+            if allowed is None or allowed(trip_id):
+                for x in sts[:-1]:
+                    last[x.stop_id] = max(last.get(x.stop_id, x.departure), x.departure)
+        fans = planner._fans[mode]
+        assert len(fans.starts) == len(planner._stop_ids) + 1
+        got = []
+        for i, sid in enumerate(planner._stop_ids):
+            a, b = fans.starts[i], fans.starts[i + 1]
+            keys = fans.key[a:b].tolist()
+            assert keys == sorted(keys)
+            for v, secs, key in zip(fans.targets[a:b], fans.seconds[a:b], keys):
+                target = planner._stop_ids[v]
+                assert key == secs - last[target]
+                got.append((sid, target, secs))
+        assert sorted(got) == [(a, b, secs) for a, b, secs, _ in links if b in last]
+
+
+def test_interleaved_requests_equal_a_fresh_planner_each():
+    """One planner asked about riders in turn, mode by mode, answers as a
+    new planner per request does: no request reads another's set-up."""
+    rides = 0
+    for feed_seed in range(6):
+        t = _feed_with_drivers(np.random.default_rng([77, feed_seed]), 8)
+        rng = np.random.default_rng([78, feed_seed])
+        a, b = (_along_a_trip(rng, t) for _ in range(2))
+        riders = {
+            "A": a,
+            "B": b,
+            "A later": (a[0], a[1], a[2] + 60),  # same endpoints, another departure
+            "A to B": (a[0], b[1], a[2]),  # same origin and departure, another destination
+            "B from A": (a[0], b[1], b[2]),
+        }
+        turns = [
+            ("A", PlanMode.TRANSIT), ("B", PlanMode.TRANSIT), ("A", PlanMode.POOL_ONLY),
+            ("A later", PlanMode.POOL_ONLY), ("B", PlanMode.TRANSIT_NO_POOL),
+            ("A to B", PlanMode.TRANSIT), ("A", PlanMode.TRANSIT_NO_POOL),
+            ("B from A", PlanMode.TRANSIT), ("A to B", PlanMode.POOL_ONLY),
+            ("B", PlanMode.POOL_ONLY), ("A", PlanMode.TRANSIT),
+        ]
+        shared = Planner(t, MODEL)
+        for name, mode in turns:
+            req = PlanRequest(*riders[name], mode=mode)
+            fresh = Planner(t, MODEL)
+            plans = shared.plan(req)
+            assert _leg_bits(plans) == _leg_bits(fresh.plan(req)), (feed_seed, name, mode)
+            assert _leg_bits([shared.earliest_arrival(req)]) == _leg_bits([fresh.earliest_arrival(req)])
+            rides += bool(plans[0].ride_legs)
+    assert rides >= 20
+
+
+def _along_a_trip(rng: np.random.Generator, t: Timetable) -> tuple[GeoPoint, GeoPoint, int]:
+    """Endpoints near the first and last stop of a random trip, leaving
+    up to ten minutes before it does."""
+    sts = t.stoptimes[sorted(t.stoptimes)[int(rng.integers(len(t.stoptimes)))]]
+    near = [
+        GeoPoint(p.lat + float(rng.uniform(-0.003, 0.003)), p.lon + float(rng.uniform(-0.003, 0.003)))
+        for p in (t.stops[sts[0].stop_id].position, t.stops[sts[-1].stop_id].position)
+    ]
+    return near[0], near[1], max(0, sts[0].departure - int(rng.integers(0, 600)))
 
 
 # ---- access and egress walks -----------------------------------------
