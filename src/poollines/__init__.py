@@ -27,7 +27,6 @@ from .drivers import (
     EmptyMeetingPointSet,
     JourneyStopTime,
     MeetingPointSet,
-    compute_driver_journey,
     compute_driver_journeys,
     prune_journey,
     select_meeting_points,

@@ -182,28 +182,6 @@ def _timed(
     return tuple(out)
 
 
-def compute_driver_journey(
-    driver: Driver,
-    points: MeetingPointSet,
-    model: TravelModel,
-    tau: float = DEFAULT_TAU,
-    dwell_s: int = DEFAULT_DWELL_S,
-    rng: np.random.Generator | None = None,
-) -> DriverJourney:
-    """Build the journey for one driver.
-
-    The origin-side candidate is the meeting point nearest the origin,
-    the destination-side candidate the one nearest the destination.  A
-    fair coin decides which side is tried first; each insertion is kept
-    only if the total length stays within ``tau`` of the baseline.  When
-    both sides pick the same point, a single insertion is attempted.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    near_origin, near_destination = points.nearest_many([driver.origin, driver.destination])
-    return _journey(driver, near_origin, near_destination, model, tau, dwell_s, rng)
-
-
 def _journey(
     driver: Driver,
     near_origin: Stop,
@@ -213,7 +191,14 @@ def _journey(
     dwell_s: int,
     rng: np.random.Generator,
 ) -> DriverJourney:
-    """:func:`compute_driver_journey` given the two candidate meeting points."""
+    """Build the journey for one driver from its two candidate meeting points.
+
+    ``near_origin`` is the meeting point nearest the origin,
+    ``near_destination`` the one nearest the destination.  A fair coin
+    from ``rng`` decides which side is tried first; each insertion is
+    kept only if the total length stays within ``tau`` of the baseline.
+    When both sides pick the same point, a single insertion is attempted.
+    """
     baseline = road_km(driver.origin, driver.destination, model)
     locations = [driver.origin, driver.destination]
     refs: list[str | None] = [None, None]

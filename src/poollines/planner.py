@@ -16,12 +16,19 @@ The scan keeps one boarding label per stop: the earliest time a rider
 can stand there ready to board, whether by the access walk, by a
 vehicle arrival plus ``transfer_s``, or by a footpath.  Each planner
 mode has its own footpath fans, holding only the links to stops that
-a vehicle of that mode leaves.  A fan is ordered by the walk seconds
-less the mode's last departure from the target, and a relaxation
-reads only its prefix of links whose walk ends by that departure:
-a later label could never be boarded from.  Only the connections that
-can matter are scanned: none before the earliest access arrival, none
-after the best arrival so far less the shortest egress walk.
+a vehicle of that mode leaves.  A relaxation reads only links whose
+walk ends by the last departure the mode makes from the target (for
+stops the mode leaves once) or by the scan limit (for the others): a
+later label is never boarded from.  Only the connections that can
+matter are scanned: none before the earliest access arrival, none
+after the scan limit, the best arrival so far less the shortest egress
+walk.
+
+A solve with fewer usable trips than another of the same request reads
+only the connections whose trip the other had boarded when it read
+them, then goes on from where the other stopped.  Alternative k is
+seeded by alternative k-1, and a restricted mode's first solve by the
+request's first TRANSIT solve.
 
 Footpaths are built only from stops where a vehicle arrives to stops
 where one departs, by querying a KD-tree over the first set against
@@ -39,10 +46,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -248,16 +256,34 @@ class _FanTable(NamedTuple):
     """One mode's footpaths in CSR layout, as the scan relaxes them.
 
     For source stop i the links are ``[starts[i], starts[i+1])``, with
-    targets, walk seconds and ``key``: the walk seconds less the last
-    departure of the mode from the target, ascending.  A walk begun at
-    ``at`` reaches a target before that departure exactly when its key
-    is at most ``-at``.
+    4-byte targets and keys and float walk seconds, in two parts split
+    at ``split[i]``.  The first part leads to the stops the mode leaves
+    exactly once, and its key is the walk seconds less that departure:
+    a walk begun at ``at`` reaches the target by then exactly when the
+    key is at most ``-at``.  The second part leads to the other stops,
+    and its key is the walk seconds: a walk begun at ``at`` ends by a
+    time ``limit`` exactly when the key is at most ``limit - at``.  Keys
+    ascend within each part.
     """
 
     starts: list
+    split: list
     targets: array
     seconds: array
     key: array
+
+
+class _Scan(NamedTuple):
+    """What one solve read: a record that seeds a more restricted solve.
+
+    ``live`` holds, in scan order, the connections whose trip was
+    boarded when the scan read them; ``stop`` is the final scan limit,
+    so the scan read every connection of its window departing by then
+    and none later.
+    """
+
+    live: list
+    stop: float
 
 
 @dataclass(frozen=True)
@@ -295,14 +321,18 @@ class Planner:
 
     The scan reads its own copy of these links, one table per mode.  A
     mode's table keeps the links whose target some connection of that
-    mode leaves, and orders each source's fan by the key ``walk_s -
-    (last departure of the mode from the target)``.  A footpath walked
-    from an arrival at ``at`` gives the label ``at + walk_s``, which
-    nothing of the mode boards from when it is later than that last
-    departure, that is when the key exceeds ``-at``.  So a relaxation
-    reads the fan's prefix of keys up to ``-at``, found by bisection,
-    and boarding, the footpath sources and the answers stay those of
-    relaxing every link.
+    mode leaves, and splits each source's fan in two.  The first part
+    leads to the stops the mode leaves once (a driver's origin stop, for
+    one), ordered by the key ``walk_s - (that departure)``; the second
+    leads to the other stops, ordered by walk seconds.  A footpath walked
+    from an arrival at ``at`` gives the label ``at + walk_s``.  Nothing
+    boards from it when it is later than the mode's last departure from
+    the target, or later than the scan limit: nothing departing after
+    the limit is scanned, the limit only falls, and a reconstruction
+    reads labels no later than a boarding time.  So a relaxation reads
+    the first part up to the key ``-at`` and the second up to walk
+    seconds ``limit - at``, each found by bisection, and boarding, the
+    footpath sources and the answers stay those of relaxing every link.
 
     A stop's boarding label is the minimum of its access arrival, its
     vehicle arrival plus ``transfer_s`` and its footpath arrivals; a
@@ -312,6 +342,25 @@ class Planner:
     after the best arrival so far less the shortest egress walk: a ride
     from there arrives strictly later.  This assumes that no hop arrives
     before it departs, which :func:`~poollines.gtfs.parse_gtfs` enforces.
+
+    A solve records its scan (:class:`_Scan`): the connections whose
+    trip was boarded when it read them, and the limit where it stopped.
+    Take a second solve of the same request whose usable trips are a
+    subset of the first one's.  Connection by connection, its vehicle
+    arrivals, best arrival and limit are no earlier than the first's,
+    and so is each boarding label no later than the first's limit, by
+    induction over the scan: it rides only connections the first rode,
+    and a footpath label it writes by the first's limit comes from an
+    arrival no earlier than one the first relaxed the same link from.
+    So it boards no trip the first had not boarded by then, and stops
+    no earlier.
+    Seeded with the first's record, it reads only those connections,
+    then the connections departing after the first's limit.  Each
+    alternative bans one trip more than the one before, and
+    ``TRANSIT_NO_POOL`` and ``POOL_ONLY`` are ``TRANSIT`` with the
+    other service's trips banned; so the planner keeps the first
+    ``TRANSIT`` scan of the request beside its set-up, and seeds a
+    restricted mode's first solve with it, read for the mode's trips.
 
     A request's set-up costs time in the stops within walking range of
     its endpoints, not in the stops of the feed.  The build puts the
@@ -357,8 +406,9 @@ class Planner:
         # rounding of the chords the tree measures.
         angle = min(math.pi, max(0.0, max_walk_km / model.circuity / EARTH_RADIUS_KM))
         self._walk_chord = 2.0 * math.sin(angle / 2.0) * (1.0 + 1e-9) + 1e-12
-        # (origin, destination, departure) and the links of the last request.
-        self._last_links: tuple = (None, None)
+        # (origin, destination, departure), the links and the first
+        # TRANSIT scan of the last request.
+        self._last_links: list = [None, None, None]
 
         self._trip_ids: list[str] = []
         self._trip_index: dict[str, int] = {}
@@ -412,17 +462,18 @@ class Planner:
         self._c_arr_s = arr_s.tolist()
 
         # Per mode, the connections it may use, in scan order, and their
-        # departure times.
+        # departure times.  The scan bisects a list of them: a float
+        # searched in an int64 array would cast the whole array.
         pool = np.array(self._pool_flags, dtype=bool)[c_trip]
         mode_rows = {
             PlanMode.TRANSIT: np.arange(len(dep_t)),
             PlanMode.TRANSIT_NO_POOL: np.flatnonzero(~pool),
             PlanMode.POOL_ONLY: np.flatnonzero(pool),
         }
-        self._mode_conns = {
-            mode: (range(len(dep_t)) if mode is PlanMode.TRANSIT else rows.tolist(), dep_t[rows])
-            for mode, rows in mode_rows.items()
-        }
+        self._mode_conns = {}
+        for mode, rows in mode_rows.items():
+            conns = range(len(dep_t)) if mode is PlanMode.TRANSIT else rows.tolist()
+            self._mode_conns[mode] = (conns, [self._c_dep_t[ci] for ci in conns])
 
         arriving = np.zeros(len(self._stop_ids), dtype=bool)
         arriving[arr_s] = True
@@ -434,9 +485,10 @@ class Planner:
             self.footpaths = footpaths.restricted(arriving, departing)
 
         # Per mode, the scan's copy of the links it can board from: those
-        # whose target some connection of the mode leaves, each source's
-        # fan ordered by walk seconds less the mode's last departure from
-        # the target, the key a bisection reads.
+        # whose target some connection of the mode leaves.  Each source's
+        # fan holds first the links to targets the mode leaves once, by
+        # walk seconds less that departure, then the rest, by walk
+        # seconds: the keys two bisections read.
         fp = self.footpaths
         n = len(self._stop_ids)
         source = np.repeat(np.arange(n, dtype=np.int64), np.diff(fp.starts))
@@ -444,22 +496,25 @@ class Planner:
         walk = fp.seconds.astype(np.int64)
         self._fans: dict[PlanMode, _FanTable] = {}
         for mode, rows in mode_rows.items():
-            departs = np.zeros(n, dtype=bool)
-            departs[dep_s[rows]] = True
+            departures = np.bincount(dep_s[rows], minlength=n)
             last_dep = np.zeros(n, dtype=np.int64)
             np.maximum.at(last_dep, dep_s[rows], dep_t[rows])
-            key = walk - last_dep[fp.targets]
+            once = (departures == 1)[fp.targets]
+            key = np.where(once, walk - last_dep[fp.targets], walk)
             lo = int(key.min(initial=0))
             span = int(key.max(initial=0)) - lo + 1
-            links = np.flatnonzero(departs[fp.targets])
-            order = links[np.argsort((source * span + (key - lo))[links], kind="stable")]
+            links = np.flatnonzero(departures[fp.targets] > 0)
+            rank = (2 * source + ~once) * span + (key - lo)
+            order = links[np.argsort(rank[links], kind="stable")]
             starts = np.zeros(n + 1, dtype=np.int64)
             starts[1:] = np.cumsum(np.bincount(source[order], minlength=n))
+            split = starts[:-1] + np.bincount(source[order[once[order]]], minlength=n)
             self._fans[mode] = _FanTable(
                 starts.tolist(),
-                array("q", fp.targets[order].astype(np.int64, copy=False).tobytes()),
+                split.tolist(),
+                array("i", fp.targets[order].astype(np.int32).tobytes()),
                 array("d", fp.seconds[order].astype(np.float64, copy=False).tobytes()),
-                array("q", key[order].tobytes()),
+                array("i", key[order].astype(np.int32).tobytes()),
             )
 
     # ---- helpers ----------------------------------------------------
@@ -529,7 +584,7 @@ class Planner:
         """
         key = (req.origin, req.destination, req.departure)
         if self._last_links[0] != key:
-            self._last_links = (key, self._new_request_links(req))
+            self._last_links = [key, self._new_request_links(req), None]
         return self._last_links[1]
 
     def _new_request_links(self, req: PlanRequest) -> _RequestLinks | None:
@@ -560,12 +615,32 @@ class Planner:
         )
 
     def _solve(
-        self, req: PlanRequest, banned: Iterable[int], links: _RequestLinks | None
-    ) -> Itinerary:
-        """Earliest arrival without the trips whose indices are in ``banned``."""
+        self,
+        req: PlanRequest,
+        banned: Iterable[int],
+        links: _RequestLinks | None,
+        seed: _Scan | None = None,
+    ) -> tuple[Itinerary, _Scan | None]:
+        """Earliest arrival without the trips whose indices are in ``banned``.
+
+        Returns the itinerary and the solve's :class:`_Scan` (None for a
+        request that can only walk).  ``seed`` is the scan of a solve of
+        the same request whose usable trips include all of this one's,
+        its connections cut to this mode's trips.  At each connection
+        this solve's readable labels, best arrival and limit are no
+        earlier than the seed's (see :class:`Planner`), so a connection
+        whose trip the seed had not boarded when it read it is one this
+        solve cannot board either; and the seed read every connection
+        departing by its final limit.  So the solve reads the seed's live
+        connections and then those departing after the seed's limit, and
+        gets the answer and the record of a full scan.  Without a seed it scans the whole window.
+        A relaxation reads only the labels a later boarding can use: up
+        to the mode's one departure from a stop it leaves once, up to
+        the limit elsewhere.
+        """
         direct = self._walk_only(req)
         if links is None:
-            return direct
+            return direct, None
 
         n = len(self._stop_ids)
         best = direct.arrive
@@ -585,6 +660,8 @@ class Planner:
         for ti in banned:
             trip_state[ti] = 2
         board_conn = [-1] * n_trips
+        live: list[int] = []
+        read_live = live.append
 
         dw = self.transfer_s
         c_dep_s = self._c_dep_s
@@ -592,12 +669,16 @@ class Planner:
         c_arr_s = self._c_arr_s
         c_arr_t = self._c_arr_t
         c_trip = self._c_trip
-        fan_starts, fan_targets, fan_seconds, fan_key = self._fans[req.mode]
+        fan_starts, fan_split, fan_targets, fan_seconds, fan_key = self._fans[req.mode]
 
         conns, times = self._mode_conns[req.mode]
-        lo = int(np.searchsorted(times, links.first_board, side="left"))
-        hi = int(np.searchsorted(times, limit, side="right"))
-        for ci in conns[lo:hi]:
+        lo = bisect_left(times, links.first_board)
+        hi = bisect_right(times, limit)
+        if seed is None:
+            order = conns[lo:hi]
+        else:
+            order = chain(seed.live, conns[max(lo, bisect_right(times, seed.stop)):hi])
+        for ci in order:
             t0 = c_dep_t[ci]
             if t0 > limit:
                 break
@@ -608,6 +689,7 @@ class Planner:
                     continue
                 trip_state[ti] = 1
                 board_conn[ti] = ci
+            read_live(ci)
             at = c_arr_t[ci]
             sa = c_arr_s[ci]
             if at < arr_veh[sa]:
@@ -625,25 +707,34 @@ class Planner:
                         best_stop = sa
                         best_egress = e
                         limit = best - min_egress
-                # Relax the fan's prefix of links whose walk ends by the last
-                # departure from the target; the first link is checked
-                # before bisecting.
+                # Relax the links to stops the mode leaves once whose walk
+                # ends by that departure, then the others whose walk ends
+                # by the limit.  Each part's first key is checked before
+                # bisecting.
                 a = fan_starts[sa]
+                m = fan_split[sa]
+                if a < m and fan_key[a] <= -at:
+                    b = bisect_right(fan_key, -at, a, m)
+                    for v, secs in zip(fan_targets[a:b], fan_seconds[a:b]):
+                        cand = at + secs
+                        if cand < reach[v]:
+                            reach[v] = cand
+                            foot_prev[v] = sa
                 b = fan_starts[sa + 1]
-                if a == b or fan_key[a] > -at:
-                    continue
-                b = bisect_right(fan_key, -at, a, b)
-                for v, secs in zip(fan_targets[a:b], fan_seconds[a:b]):
-                    cand = at + secs
-                    if cand < reach[v]:
-                        reach[v] = cand
-                        foot_prev[v] = sa
+                if m < b and fan_key[m] <= limit - at:
+                    b = bisect_right(fan_key, limit - at, m, b)
+                    for v, secs in zip(fan_targets[m:b], fan_seconds[m:b]):
+                        cand = at + secs
+                        if cand < reach[v]:
+                            reach[v] = cand
+                            foot_prev[v] = sa
 
+        scan = _Scan(live, limit)
         if best_stop < 0:
-            return direct
+            return direct, scan
         return self._reconstruct(
             req, best, best_stop, links, reach, foot_prev, arr_veh, veh_conn, board_conn
-        )
+        ), scan
 
     def _reconstruct(
         self, req, best, best_stop, links, reach, foot_prev, arr_veh, veh_conn, board_conn,
@@ -769,21 +860,22 @@ class Planner:
         A direct walk is always available, so this never fails on a
         connected plane.
         """
-        return self._solve(req, (), self._request_links(req))
+        return self._first_solve(req, self._request_links(req))[0]
 
     def iter_itineraries(self, req: PlanRequest):
         """Yield alternatives lazily, best first.
 
         Each round bans the first ride trip of the previous result and
-        re-solves; a walk-only itinerary closes the list as the final
-        fallback.  At most ``req.num_itineraries`` results.
+        re-solves, seeded with the previous solve's scan; a walk-only
+        itinerary closes the list as the final fallback.  At most
+        ``req.num_itineraries`` results.
         """
         links = self._request_links(req)
+        it, scan = self._first_solve(req, links)
         banned: set[int] = set()
         seen: set[tuple] = set()
         count = 0
-        while count < req.num_itineraries:
-            it = self._solve(req, banned, links)
+        while True:
             rides = it.ride_legs
             if not rides:
                 break
@@ -793,11 +885,35 @@ class Planner:
             seen.add(sig)
             yield it
             count += 1
+            if count == req.num_itineraries:
+                return
             banned.add(self._trip_index[rides[0].trip_id])
-        if count < req.num_itineraries:
-            walk = self._walk_only(req)
-            if _signature(walk) not in seen:
-                yield walk
+            it, scan = self._solve(req, banned, links, scan)
+        walk = self._walk_only(req)
+        if _signature(walk) not in seen:
+            yield walk
+
+    def _first_solve(
+        self, req: PlanRequest, links: _RequestLinks | None
+    ) -> tuple[Itinerary, _Scan | None]:
+        """The request's solve with no trip banned, and its scan.
+
+        A mode's trips are a subset of TRANSIT's, so the solve is seeded
+        with the request's first TRANSIT scan, read for the mode's trips,
+        when the planner holds it; a TRANSIT scan is kept for the other
+        modes.  ``links`` are the request's, just looked up.
+        """
+        transit = self._last_links[2]
+        if transit is not None and req.mode is not PlanMode.TRANSIT:
+            pool = req.mode is PlanMode.POOL_ONLY
+            flags = self._pool_flags
+            c_trip = self._c_trip
+            live = [ci for ci in transit.live if flags[c_trip[ci]] == pool]
+            transit = _Scan(live, transit.stop)
+        it, scan = self._solve(req, (), links, transit)
+        if req.mode is PlanMode.TRANSIT:
+            self._last_links[2] = scan
+        return it, scan
 
     def plan(self, req: PlanRequest) -> list[Itinerary]:
         """Alternative itineraries, earliest arrival first, deduplicated."""

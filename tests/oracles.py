@@ -248,11 +248,17 @@ class ReferencePlanner(Planner):
         return self._endpoint_links(req.origin) + self._endpoint_links(req.destination)
 
     def _solve(
-        self, req: PlanRequest, banned: frozenset[int], links: tuple[np.ndarray, ...] | None
-    ) -> Itinerary:
+        self,
+        req: PlanRequest,
+        banned: frozenset[int],
+        links: tuple[np.ndarray, ...] | None,
+        seed=None,
+    ) -> tuple[Itinerary, None]:
+        """The earliest arrival, and no scan record: ``seed`` is ignored,
+        and every solve scans the whole window."""
         direct = self._walk_only(req)
         if links is None:
-            return direct
+            return direct, None
 
         n = len(self._stop_ids)
         dep = req.departure
@@ -322,11 +328,11 @@ class ReferencePlanner(Planner):
                         foot_prev[hits] = sa
 
         if best_stop < 0:
-            return direct
+            return direct, None
         return self._reconstruct(
             req, best, best_stop, access_s, access_km, egress_s, egress_km,
             arr_foot, foot_prev, arr_veh, veh_conn, board_conn,
-        )
+        ), None
 
     def _reconstruct(
         self, req, best, best_stop, access_s, access_km, egress_s, egress_km,

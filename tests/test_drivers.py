@@ -12,7 +12,6 @@ from poollines.drivers import (
     EmptyMeetingPointSet,
     JourneyStopTime,
     MeetingPointSet,
-    compute_driver_journey,
     compute_driver_journeys,
     prune_journey,
     select_meeting_points,
@@ -50,7 +49,7 @@ def _points(*pairs):
 
 def test_both_insertions_within_budget():
     points = _points(("MO", 0.003, 0.0125), ("MD", 0.003, 0.0575))
-    j = compute_driver_journey(_driver(), points, MODEL, rng=np.random.default_rng(0))
+    j = compute_driver_journeys([_driver()], points, MODEL, seed=0)[0]
     assert [st.stop_ref for st in j.stoptimes] == [None, "MO", "MD", None]
     assert j.baseline_km == pytest.approx(BASELINE_KM, abs=1e-9)
     assert j.length_km == pytest.approx(10.221373823711144, abs=1e-9)
@@ -61,7 +60,7 @@ def test_journey_timing_and_dwell():
     # Leg drive times for the accepted path are 168 s, 586 s, 168 s with
     # a 60 s dwell at each meeting point and none at the two ends.
     points = _points(("MO", 0.003, 0.0125), ("MD", 0.003, 0.0575))
-    j = compute_driver_journey(_driver(), points, MODEL, rng=np.random.default_rng(0))
+    j = compute_driver_journeys([_driver()], points, MODEL, seed=0)[0]
     times = [(st.arrival, st.departure) for st in j.stoptimes]
     assert times == [(36000, 36000), (36168, 36228), (36814, 36874), (37042, 37042)]
 
@@ -69,7 +68,7 @@ def test_journey_timing_and_dwell():
 def test_far_points_rejected():
     # Each candidate alone stretches the drive by 24%, over the budget.
     points = _points(("MO", 0.022, 0.0125), ("MD", 0.022, 0.0575))
-    j = compute_driver_journey(_driver(), points, MODEL, rng=np.random.default_rng(0))
+    j = compute_driver_journeys([_driver()], points, MODEL, seed=0)[0]
     assert len(j.stoptimes) == 2
     assert j.length_km == pytest.approx(BASELINE_KM, abs=1e-9)
     assert j.detour_ratio == 0.0
@@ -80,7 +79,7 @@ def test_budget_is_cumulative():
     # and the second insertion would push the total to 16.9% and is
     # dropped.  The journey length is the same either way.
     points = _points(("MO", 0.0135, 0.0125), ("MD", 0.0135, 0.0575))
-    j = compute_driver_journey(_driver(), points, MODEL, rng=np.random.default_rng(3))
+    j = compute_driver_journeys([_driver()], points, MODEL, seed=3)[0]
     kept = [st.stop_ref for st in j.stoptimes if st.stop_ref]
     assert len(kept) == 1
     assert j.length_km == pytest.approx(11.1973959767484, abs=1e-9)
@@ -101,7 +100,7 @@ def test_insertion_order_is_a_fair_coin():
 
 def test_shared_candidate_single_insertion():
     points = _points(("M", 0.004, 0.035))
-    j = compute_driver_journey(_driver(), points, MODEL, rng=np.random.default_rng(0))
+    j = compute_driver_journeys([_driver()], points, MODEL, seed=0)[0]
     assert [st.stop_ref for st in j.stoptimes] == [None, "M", None]
     assert j.length_km == pytest.approx(10.184619561713463, abs=1e-9)
 
@@ -109,7 +108,7 @@ def test_shared_candidate_single_insertion():
 def test_degenerate_drive_never_augmented():
     points = _points(("M", 0.0, 0.0))  # sits exactly on the driver
     d = _driver(origin=ORG, destination=ORG)
-    j = compute_driver_journey(d, points, MODEL, rng=np.random.default_rng(0))
+    j = compute_driver_journeys([d], points, MODEL, seed=0)[0]
     assert len(j.stoptimes) == 2
     assert j.baseline_km == 0.0
     assert j.detour_ratio == 0.0
@@ -136,7 +135,7 @@ def test_detour_budget_property():
             departure_time=int(rng.integers(0, 86400)),
             declaration_time=0,
         )
-        j = compute_driver_journey(d, points, MODEL, rng=rng)
+        j = compute_driver_journeys([d], points, MODEL, seed=case)[0]
         assert 2 <= len(j.stoptimes) <= 4
         assert j.detour_ratio <= 0.15 + 1e-9
         assert j.baseline_km == pytest.approx(
@@ -233,7 +232,7 @@ def test_batch_equals_one_journey_at_a_time():
     ]
     batch.append(_driver(driver_id=60, destination=ORG))  # no drive, no coin
     assert compute_driver_journeys(batch, points, MODEL, seed=3) == [
-        compute_driver_journey(d, points, MODEL, rng=np.random.default_rng([3, d.driver_id]))
+        compute_driver_journeys([d], points, MODEL, seed=3)[0]
         for d in batch
     ]
 
@@ -265,7 +264,7 @@ def test_meeting_points_come_from_rapid_transit_stops():
 
 def test_prune_keeps_used_stops():
     points = _points(("MO", 0.003, 0.0125), ("MD", 0.003, 0.0575))
-    j = compute_driver_journey(_driver(), points, MODEL, rng=np.random.default_rng(0))
+    j = compute_driver_journeys([_driver()], points, MODEL, seed=0)[0]
     assert len(j.stoptimes) == 4
 
     only_first = prune_journey(j, {1})

@@ -4,7 +4,6 @@ import pytest
 from poollines.drivers import (
     Driver,
     MeetingPointSet,
-    compute_driver_journey,
     compute_driver_journeys,
 )
 from poollines.geo import GeoPoint, TravelModel
@@ -40,9 +39,7 @@ MODEL = TravelModel()
 
 def _journey(driver_id=7):
     points = _points(("MO", 0.003, 0.0125), ("MD", 0.003, 0.0575))
-    return compute_driver_journey(
-        _driver(driver_id=driver_id), points, MODEL, rng=np.random.default_rng(0)
-    )
+    return compute_driver_journeys([_driver(driver_id=driver_id)], points, MODEL, seed=0)[0]
 
 
 # ---- naming ---------------------------------------------------------

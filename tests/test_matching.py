@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from poollines.drivers import compute_driver_journey
+from poollines.drivers import compute_driver_journeys
 from poollines.geo import GeoPoint, TravelModel, walk_seconds
 from poollines.injection import pool_trip_id
 from poollines.matching import (
@@ -211,9 +210,7 @@ def test_rider_rides_a_poolline():
 
 def _journey7():
     points = _points(("MO", 0.003, 0.0125), ("MD", 0.003, 0.0575))
-    return compute_driver_journey(
-        _driver(driver_id=7), points, MODEL, rng=np.random.default_rng(0)
-    )
+    return compute_driver_journeys([_driver(driver_id=7)], points, MODEL, seed=0)[0]
 
 
 def _pool_outcome(rider_id, driver_id, from_stop, to_stop):
@@ -272,12 +269,12 @@ def test_capacity_is_a_single_pass():
     # Driver 7 is overloaded; the rider who also used driver 8 becomes
     # unserved, but driver 8 itself is never re-judged or voided.
     j = {7: _journey7(), 8: _journey7()}
-    j[8] = compute_driver_journey(
-        _driver(driver_id=8),
+    j[8] = compute_driver_journeys(
+        [_driver(driver_id=8)],
         _points(("MO", 0.003, 0.0125), ("MD", 0.003, 0.0575)),
         MODEL,
-        rng=np.random.default_rng(0),
-    )
+        seed=0,
+    )[0]
     mixed = RiderOutcome(
         99,
         RiderMode.MULTI_CARPOOLING,

@@ -13,6 +13,7 @@ from poollines.planner import (
     Planner,
     PlanMode,
     PlanRequest,
+    _Scan,
     build_footpaths,
 )
 
@@ -176,6 +177,34 @@ def test_egress_tie_at_the_end_of_the_scan_window_goes_to_the_shorter_walk():
     it = planner.earliest_arrival(req)
     assert it.arrive == best
     assert _ride_trips(it) == ["TY"]
+    assert planner.plan(req) == ReferencePlanner(t, MODEL).plan(req)
+
+
+def test_footpath_label_on_the_scan_limit_is_boarded():
+    # As above, TY leaves on the last second of the scan window and ties
+    # TX's arrival with a shorter egress walk.  It leaves Y0, which only
+    # a 0 s footpath from W reaches, exactly on that second; TZ leaves
+    # Y0 later, so the link is cut at the limit, not at Y0's departure.
+    x, y = GeoPoint(45.0, -122.25), GeoPoint(45.0, -122.241)
+    g = GeoPoint(45.03, -122.27)  # out of walking range of P and R
+    e_x, e_y = walk_seconds(x, R, MODEL), walk_seconds(y, R, MODEL)
+    assert e_y < e_x
+    best = 2000 + e_x
+    limit = best - e_y
+    t = make_timetable(
+        {"P": P, "X": x, "Y": y, "W": g, "Y0": g},
+        {
+            "TX": [("P", 1000, 1000), ("X", 2000, 2000)],
+            "TW": [("P", 1100, 1100), ("W", limit, limit)],
+            "TY": [("Y0", limit, limit), ("Y", limit, limit)],
+            "TZ": [("Y0", limit + 500, limit + 500), ("P", limit + 900, limit + 900)],
+        },
+    )
+    req = PlanRequest(P, R, 900)
+    planner = Planner(t, MODEL)
+    it = planner.earliest_arrival(req)
+    assert it.arrive == best
+    assert _ride_trips(it) == ["TW", "TY"]
     assert planner.plan(req) == ReferencePlanner(t, MODEL).plan(req)
 
 
@@ -728,29 +757,108 @@ def test_every_mode_and_alternative_equals_the_reference_scan_leg_for_leg(
 @given(feed_seed=st.integers(0, 2**32 - 1), drivers=st.integers(0, 16))
 def test_each_mode_relaxes_exactly_the_links_to_stops_it_departs_from(feed_seed, drivers):
     """Each mode's fans hold the planner's links whose target some trip
-    of the mode leaves, keyed by walk seconds less the mode's last
-    departure from the target, the keys ascending within each source."""
+    of the mode leaves.  A source's fan holds first the links to targets
+    the mode leaves once, keyed by walk seconds less that departure, then
+    the others, keyed by walk seconds; the keys ascend within each part."""
     t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
     planner = Planner(t, MODEL)
     links = _links(planner.footpaths)
     for mode, allowed in _MODE_TRIPS:
-        last: dict[str, int] = {}
+        departures: dict[str, list[int]] = {}
         for trip_id, sts in t.stoptimes.items():
             if allowed is None or allowed(trip_id):
                 for x in sts[:-1]:
-                    last[x.stop_id] = max(last.get(x.stop_id, x.departure), x.departure)
+                    departures.setdefault(x.stop_id, []).append(x.departure)
         fans = planner._fans[mode]
         assert len(fans.starts) == len(planner._stop_ids) + 1
+        assert len(fans.split) == len(planner._stop_ids)
         got = []
         for i, sid in enumerate(planner._stop_ids):
-            a, b = fans.starts[i], fans.starts[i + 1]
-            keys = fans.key[a:b].tolist()
-            assert keys == sorted(keys)
-            for v, secs, key in zip(fans.targets[a:b], fans.seconds[a:b], keys):
-                target = planner._stop_ids[v]
-                assert key == secs - last[target]
-                got.append((sid, target, secs))
-        assert sorted(got) == [(a, b, secs) for a, b, secs, _ in links if b in last]
+            a, m, b = fans.starts[i], fans.split[i], fans.starts[i + 1]
+            assert a <= m <= b
+            for lo, hi, once in ((a, m, True), (m, b, False)):
+                keys = fans.key[lo:hi].tolist()
+                assert keys == sorted(keys)
+                for v, secs, key in zip(fans.targets[lo:hi], fans.seconds[lo:hi], keys):
+                    target = planner._stop_ids[v]
+                    assert (len(departures[target]) == 1) == once
+                    assert key == (secs - departures[target][0] if once else secs)
+                    got.append((sid, target, secs))
+        assert sorted(got) == [(a, b, secs) for a, b, secs, _ in links if b in departures]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    feed_seed=st.integers(0, 2**32 - 1),
+    drivers=st.integers(0, 16),
+    query_seed=st.integers(0, 2**32 - 1),
+    transfer_s=st.sampled_from([0, 60]),
+)
+def test_no_itinerary_arrives_after_the_direct_walk(feed_seed, drivers, query_seed, transfer_s):
+    """Every alternative of every mode arrives no later than walking
+    straight there: the scan never reads a label after that arrival
+    less the shortest egress walk."""
+    t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
+    planner = Planner(t, MODEL, transfer_s=transfer_s)
+    rng = np.random.default_rng(query_seed)
+    for _ in range(3):
+        org, dst = _near_stop(rng, t), _near_stop(rng, t)
+        dep = _near_arrival(rng, t, -1200, 0)
+        walk = dep + walk_seconds(org, dst, MODEL)
+        for mode in PlanMode:
+            plans = planner.plan(PlanRequest(org, dst, dep, mode=mode))
+            assert plans
+            assert all(it.arrive <= walk for it in plans)
+
+
+def _is_subsequence(part: list[int], whole: list[int]) -> bool:
+    rest = iter(whole)
+    return all(x in rest for x in part)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    feed_seed=st.integers(0, 2**32 - 1),
+    drivers=st.integers(0, 16),
+    query_seed=st.integers(0, 2**32 - 1),
+)
+def test_a_restricted_scan_boards_a_subsequence_of_its_seeds_connections(
+    feed_seed, drivers, query_seed
+):
+    """Solved without a seed, each alternative boards, up to where the
+    solve before it stopped, only connections that solve boarded, in
+    order, and stops no earlier; so does each mode's first solve against
+    the first TRANSIT solve, read for the mode's trips.  Seeded with
+    that record, a solve gives the same itinerary and record."""
+    t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
+    planner = Planner(t, MODEL)
+    c_trip, dep_t = planner._c_trip, planner._c_dep_t
+    rng = np.random.default_rng(query_seed)
+    for _ in range(3):
+        org, dst = _near_stop(rng, t), _near_stop(rng, t)
+        req = PlanRequest(org, dst, _near_arrival(rng, t, -1200, 0))
+        links = planner._request_links(req)
+        if links is None:
+            continue
+        _, transit = planner._solve(req, (), links)
+        for mode, allowed in _MODE_TRIPS:
+            req = PlanRequest(org, dst, req.departure, mode=mode)
+            usable = [
+                ci for ci in transit.live
+                if allowed is None or allowed(planner._trip_ids[c_trip[ci]])
+            ]
+            seed = _Scan(usable, transit.stop)
+            banned: list[int] = []
+            while len(banned) < 10:
+                it, scan = planner._solve(req, banned, links)
+                assert scan.stop >= seed.stop
+                early = [ci for ci in scan.live if dep_t[ci] <= seed.stop]
+                assert _is_subsequence(early, seed.live)
+                assert planner._solve(req, banned, links, seed) == (it, scan)
+                if not it.ride_legs:
+                    break
+                banned.append(planner._trip_index[it.ride_legs[0].trip_id])
+                seed = scan
 
 
 def test_interleaved_requests_equal_a_fresh_planner_each():
@@ -774,6 +882,10 @@ def test_interleaved_requests_equal_a_fresh_planner_each():
             ("A to B", PlanMode.TRANSIT), ("A", PlanMode.TRANSIT_NO_POOL),
             ("B from A", PlanMode.TRANSIT), ("A to B", PlanMode.POOL_ONLY),
             ("B", PlanMode.POOL_ONLY), ("A", PlanMode.TRANSIT),
+            # One request's modes, seeded by its TRANSIT scan and not.
+            ("A", PlanMode.TRANSIT_NO_POOL), ("A", PlanMode.POOL_ONLY),
+            ("B from A", PlanMode.POOL_ONLY), ("B from A", PlanMode.TRANSIT_NO_POOL),
+            ("B from A", PlanMode.TRANSIT), ("B from A", PlanMode.POOL_ONLY),
         ]
         shared = Planner(t, MODEL)
         for name, mode in turns:
