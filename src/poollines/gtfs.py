@@ -5,17 +5,26 @@ calendar.txt / calendar_dates.txt when present (used only to restrict
 trips to a service date).  Any other file in the feed is carried through
 untouched as raw bytes.  Times are stored as integer seconds since
 service midnight, so "25:10:00" is a valid 90600.
+
+Every table, of a feed directory or of a .zip member, is streamed
+through :class:`CsvRows`: the reader holds a few blocks of a file at a
+time, never the whole file, and closes it whether it returns or raises.
+The agents file and the run tables of :mod:`poollines.scenario` and
+:mod:`poollines.reports` are read by the same class.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import functools
 import io
 import math
 import zipfile
+from array import array
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .geo import GeoPoint
 
@@ -29,6 +38,22 @@ _CALENDAR_FILES = ("calendar.txt", "calendar_dates.txt")
 _WEEKDAY_COLUMNS = (
     "monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday",
 )
+_CHECK_BYTES = 1 << 16  # bytes per read of the UTF-8 check
+_SECOND_TEXTS = {f":{s:02d}": s for s in range(60)}
+
+
+@functools.cache
+def _minute_texts() -> dict[str, int]:
+    """The minute of the service day of each "H:MM" and "HH:MM", hours below 48.
+
+    With ``_SECOND_TEXTS`` (":SS" to the second) it reads a stop time by
+    two lookups; any other text goes through parse_gtfs_time.  Built on
+    the first parse, so a process that reads no feed does not hold it.
+    """
+    return {
+        **{f"{h}:{m:02d}": h * 60 + m for h in range(10) for m in range(60)},
+        **{f"{h:02d}:{m:02d}": h * 60 + m for h in range(48) for m in range(60)},
+    }
 
 
 class GtfsError(Exception):
@@ -78,7 +103,7 @@ class Trip:
     service_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GtfsStopTime:
     trip_id: str
     stop_id: str
@@ -209,59 +234,71 @@ class _FeedSource:
             return [n for n in self._zip.namelist() if not n.endswith("/")]
         return sorted(p.name for p in self.path.iterdir() if p.is_file())
 
-    def read_bytes(self, name: str) -> bytes | None:
+    def open(self, name: str) -> BinaryIO | None:
+        """A binary stream of the file, which the caller closes; None if absent."""
         if self._zip is not None:
             try:
-                return self._zip.read(name)
+                return self._zip.open(name)
             except KeyError:
                 return None
         p = self.path / name
-        if not p.is_file():
+        return p.open("rb") if p.is_file() else None
+
+    def read_bytes(self, name: str) -> bytes | None:
+        stream = self.open(name)
+        if stream is None:
             return None
-        return p.read_bytes()
+        with stream:
+            return stream.read()
 
     def close(self) -> None:
         if self._zip is not None:
             self._zip.close()
 
 
-class _Table:
-    """One feed table read with ``csv.reader`` and a header → column-index map.
+class CsvRows:
+    """The rows of one CSV byte stream, read a block at a time.
 
-    ``rows()`` yields each data row with the physical line it ends on
-    (a quoted cell may span lines); blank lines are skipped.  A column
-    the header lacks, or a row too short to reach, reads as "".  A
-    header name is stripped; a repeated one means its last column.
-    Bytes that are not UTF-8, and text the CSV reader rejects (such as
-    bare carriage-return line ends), raise :class:`MalformedRow` at
-    their line.
+    Two passes over the stream, neither of which holds the whole file.
+    The first checks that it is ``encoding`` text, 64 KB at a time, so a
+    byte that is not UTF-8 is reported before any fault in the rows.
+    The second rewinds and runs ``csv.reader`` over a text wrapper that
+    splits lines at "\\n" only, as ``io.StringIO`` does: "\\r\\n" ends a
+    row, a bare "\\r" outside quotes is unreadable, and a quoted cell may
+    span lines.  Iterating yields each non-blank row with the physical
+    line it ends on.  ``header`` is the first row and ``columns`` maps
+    each stripped header name to its index (the last, if repeated).
+
+    ``fault(line, reason)`` builds the exception raised for a byte that
+    is not UTF-8 and for text the CSV reader rejects, so each caller
+    keeps its own error type.  The object owns ``stream``: ``close()``,
+    or leaving a ``with`` block, closes it, and so does a constructor
+    that raises.
     """
 
-    def __init__(self, source: _FeedSource, name: str, required: bool):
-        self.name = name
-        raw = source.read_bytes(name)
-        if raw is None and required:
-            raise MissingFile(name)
+    def __init__(self, stream: BinaryIO, encoding: str, fault: Callable[[int, str], Exception]):
+        self._fault = fault
+        self._stream: BinaryIO | io.TextIOWrapper = stream
         try:
-            text = raw.decode("utf-8-sig") if raw else ""
-        except UnicodeDecodeError as exc:
-            line = exc.object[: exc.start].count(b"\n") + 1
-            bad = exc.object[exc.start]
-            raise MalformedRow(name, line, f"byte 0x{bad:02x} is not UTF-8") from None
-        self._reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(self._reader, [])
-        except csv.Error as exc:
-            raise self._unreadable(exc) from None
-        self.width = len(header)
-        self.columns = {key.strip(): i for i, key in enumerate(header)}
+            _check_utf8(stream, encoding, fault)
+            stream.seek(0)
+            self._stream = io.TextIOWrapper(stream, encoding=encoding, newline="\n")
+            self._reader = csv.reader(self._stream)
+            try:
+                self.header = next(self._reader, [])
+            except csv.Error as exc:
+                raise self._unreadable(exc) from None
+        except BaseException:
+            self._stream.close()
+            raise
+        self.columns = {key.strip(): i for i, key in enumerate(self.header)}
 
-    def _unreadable(self, exc: csv.Error) -> MalformedRow:
+    def _unreadable(self, exc: csv.Error) -> Exception:
         # The reader's advice after " - " is about opening files in Python.
         reason = str(exc).split(" - ")[0]
-        return MalformedRow(self.name, self._reader.line_num, f"unreadable CSV: {reason}")
+        return self._fault(self._reader.line_num, f"unreadable CSV: {reason}")
 
-    def rows(self) -> Iterator[tuple[int, list[str]]]:
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
         reader = self._reader
         try:
             for row in reader:
@@ -269,6 +306,55 @@ class _Table:
                     yield reader.line_num, row
         except csv.Error as exc:
             raise self._unreadable(exc) from None
+
+    def close(self) -> None:
+        self._stream.close()
+
+    def __enter__(self) -> CsvRows:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _check_utf8(stream: BinaryIO, encoding: str, fault: Callable[[int, str], Exception]) -> None:
+    """Raise ``fault(line, "byte 0x.. is not UTF-8")`` unless the stream is UTF-8.
+
+    The check decodes a block at a time; only when it fails is the whole
+    stream decoded at once, to name the line of the first bad byte.
+    """
+    decoder = codecs.getincrementaldecoder(encoding)()
+    try:
+        while block := stream.read(_CHECK_BYTES):
+            decoder.decode(block)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        stream.seek(0)
+        try:
+            stream.read().decode(encoding)
+        except UnicodeDecodeError as exc:
+            line = exc.object[: exc.start].count(b"\n") + 1
+            raise fault(line, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+        raise
+
+
+class _Table(CsvRows):
+    """One feed table, with cell access by header name.
+
+    A column the header lacks, or a row too short to reach, reads as "".
+    A missing optional file reads as a table without rows.  Faults raise
+    :class:`MalformedRow` at their line.
+    """
+
+    def __init__(self, source: _FeedSource, name: str, required: bool):
+        stream = source.open(name)
+        if stream is None:
+            if required:
+                raise MissingFile(name)
+            stream = io.BytesIO()
+        self.name = name
+        super().__init__(stream, "utf-8-sig", lambda line, reason: MalformedRow(name, line, reason))
+        self.width = len(self.header)
 
     def get(self, row: list[str], key: str) -> str:
         i = self.columns.get(key, self.width)
@@ -283,48 +369,48 @@ class _Table:
 
 def _parse_stops(source: _FeedSource) -> dict[str, Stop]:
     stops: dict[str, Stop] = {}
-    table = _Table(source, "stops.txt", required=True)
-    for line, row in table.rows():
-        stop_id = table.need(row, "stop_id", line)
-        if stop_id in stops:
-            raise MalformedRow("stops.txt", line, f"duplicate stop_id {stop_id!r}")
-        try:
-            lat = float(table.need(row, "stop_lat", line))
-            lon = float(table.need(row, "stop_lon", line))
-            position = GeoPoint(lat, lon)
-        except ValueError as exc:
-            raise MalformedRow("stops.txt", line, str(exc)) from None
-        stops[stop_id] = Stop(stop_id, table.get(row, "stop_name"), position)
+    with _Table(source, "stops.txt", required=True) as table:
+        for line, row in table:
+            stop_id = table.need(row, "stop_id", line)
+            if stop_id in stops:
+                raise MalformedRow("stops.txt", line, f"duplicate stop_id {stop_id!r}")
+            try:
+                lat = float(table.need(row, "stop_lat", line))
+                lon = float(table.need(row, "stop_lon", line))
+                position = GeoPoint(lat, lon)
+            except ValueError as exc:
+                raise MalformedRow("stops.txt", line, str(exc)) from None
+            stops[stop_id] = Stop(stop_id, table.get(row, "stop_name"), position)
     return stops
 
 
 def _parse_routes(source: _FeedSource) -> dict[str, Route]:
     routes: dict[str, Route] = {}
-    table = _Table(source, "routes.txt", required=True)
-    for line, row in table.rows():
-        route_id = table.need(row, "route_id", line)
-        if route_id in routes:
-            raise MalformedRow("routes.txt", line, f"duplicate route_id {route_id!r}")
-        try:
-            route_type = int(table.need(row, "route_type", line))
-        except ValueError:
-            raise MalformedRow("routes.txt", line, "route_type is not an integer") from None
-        name = table.get(row, "route_long_name") or table.get(row, "route_short_name")
-        routes[route_id] = Route(route_id, name, route_type)
+    with _Table(source, "routes.txt", required=True) as table:
+        for line, row in table:
+            route_id = table.need(row, "route_id", line)
+            if route_id in routes:
+                raise MalformedRow("routes.txt", line, f"duplicate route_id {route_id!r}")
+            try:
+                route_type = int(table.need(row, "route_type", line))
+            except ValueError:
+                raise MalformedRow("routes.txt", line, "route_type is not an integer") from None
+            name = table.get(row, "route_long_name") or table.get(row, "route_short_name")
+            routes[route_id] = Route(route_id, name, route_type)
     return routes
 
 
 def _parse_trips(source: _FeedSource, routes: dict[str, Route]) -> dict[str, Trip]:
     trips: dict[str, Trip] = {}
-    table = _Table(source, "trips.txt", required=True)
-    for line, row in table.rows():
-        trip_id = table.need(row, "trip_id", line)
-        if trip_id in trips:
-            raise MalformedRow("trips.txt", line, f"duplicate trip_id {trip_id!r}")
-        route_id = table.need(row, "route_id", line)
-        if route_id not in routes:
-            raise DanglingReference("trips.txt", line, route_id)
-        trips[trip_id] = Trip(trip_id, route_id, table.get(row, "service_id"))
+    with _Table(source, "trips.txt", required=True) as table:
+        for line, row in table:
+            trip_id = table.need(row, "trip_id", line)
+            if trip_id in trips:
+                raise MalformedRow("trips.txt", line, f"duplicate trip_id {trip_id!r}")
+            route_id = table.need(row, "route_id", line)
+            if route_id not in routes:
+                raise DanglingReference("trips.txt", line, route_id)
+            trips[trip_id] = Trip(trip_id, route_id, table.get(row, "service_id"))
     return trips
 
 
@@ -333,119 +419,139 @@ def _parse_stoptimes(
     stops: dict[str, Stop],
     known_trips: dict[str, Trip],
     kept_trips: dict[str, Trip],
-) -> dict[str, list[tuple[int, GtfsStopTime]]]:
-    """Stoptimes of the kept trips, grouped by trip, each with its line.
+) -> dict[str, tuple[list[GtfsStopTime], array]]:
+    """Stoptimes of the kept trips, grouped by trip, with their lines.
 
-    Every row is checked, kept or not.  A row whose cells were all seen
-    before is read with four dict lookups: ids map to the feed's own
-    strings, and each distinct time text is parsed once.  Any other row
-    goes through every check in order, so a fault reports the same
-    reason whichever row it first appears on.
+    Each trip maps to its stoptimes in file order and an array of the
+    lines they end on, which only a fault found later reads.  Every row
+    is checked, kept or not.  A row with known ids, times in [H]H:MM:SS
+    form and an integer sequence is read with dict and list lookups: ids
+    map to the feed's own strings, and every row at the same second of
+    the day gets the same int object.  Any other row goes through every
+    check in order, so a fault reports the same reason whichever row it
+    first appears on.
     """
-    table = _Table(source, "stop_times.txt", required=True)
-    columns = [
-        table.columns.get(key, table.width)
-        for key in ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
-    ]
-    i_trip, i_stop, i_arr, i_dep, i_seq = columns
-    width = max(columns) + 1
-    trip_ids = {k: k for k in known_trips}
-    stop_ids = {k: k for k in stops}
-    seconds: dict[str, int] = {}
+    with _Table(source, "stop_times.txt", required=True) as table:
+        columns = [
+            table.columns.get(key, table.width)
+            for key in ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
+        ]
+        i_trip, i_stop, i_arr, i_dep, i_seq = columns
+        width = max(columns) + 1
+        trip_ids = {k: k for k in known_trips}
+        stop_ids = {k: k for k in stops}
+        minute_texts = _minute_texts()
+        by_minute: list[list[int | None] | None] = [None] * (48 * 60)
 
-    def checked(row: list[str], line: int) -> tuple[str, str, int, int, int]:
-        trip_id = table.need(row, "trip_id", line)
-        if trip_id not in trip_ids:
-            raise DanglingReference("stop_times.txt", line, trip_id)
-        stop_id = table.need(row, "stop_id", line)
-        if stop_id not in stop_ids:
-            raise DanglingReference("stop_times.txt", line, stop_id)
-        try:
-            arrival = parse_gtfs_time(table.need(row, "arrival_time", line))
-            departure = parse_gtfs_time(table.need(row, "departure_time", line))
-            sequence = int(table.need(row, "stop_sequence", line))
-        except ValueError as exc:
-            raise MalformedRow("stop_times.txt", line, str(exc)) from None
-        seconds[row[i_arr]] = arrival
-        seconds[row[i_dep]] = departure
-        return trip_ids[trip_id], stop_ids[stop_id], arrival, departure, sequence
+        def clock(text: str) -> int | None:
+            minute = minute_texts.get(text[:-3])
+            second = _SECOND_TEXTS.get(text[-3:])
+            if minute is None or second is None:
+                return None
+            ints = by_minute[minute]
+            if ints is None:
+                ints = by_minute[minute] = [None] * 60
+            value = ints[second]
+            if value is None:
+                value = ints[second] = minute * 60 + second
+            return value
 
-    grouped: dict[str, list[tuple[int, GtfsStopTime]]] = {}
-    for line, row in table.rows():
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        trip_id = trip_ids.get(row[i_trip])
-        stop_id = stop_ids.get(row[i_stop])
-        arrival = seconds.get(row[i_arr])
-        departure = seconds.get(row[i_dep])
-        try:
-            sequence = int(row[i_seq])  # int() ignores the padding strip() would remove
-        except ValueError:
-            sequence = None
-        if None in (trip_id, stop_id, arrival, departure, sequence):
-            trip_id, stop_id, arrival, departure, sequence = checked(row, line)
-        if departure < arrival:
-            raise MalformedRow("stop_times.txt", line, "departure before arrival")
-        if trip_id not in kept_trips:
-            continue  # trip filtered out by the service date
-        grouped.setdefault(trip_id, []).append(
-            (line, GtfsStopTime(trip_id, stop_id, arrival, departure, sequence))
-        )
+        def checked(row: list[str], line: int) -> tuple[str, str, int, int, int]:
+            trip_id = table.need(row, "trip_id", line)
+            if trip_id not in trip_ids:
+                raise DanglingReference("stop_times.txt", line, trip_id)
+            stop_id = table.need(row, "stop_id", line)
+            if stop_id not in stop_ids:
+                raise DanglingReference("stop_times.txt", line, stop_id)
+            try:
+                arrival = parse_gtfs_time(table.need(row, "arrival_time", line))
+                departure = parse_gtfs_time(table.need(row, "departure_time", line))
+                sequence = int(table.need(row, "stop_sequence", line))
+            except ValueError as exc:
+                raise MalformedRow("stop_times.txt", line, str(exc)) from None
+            return trip_ids[trip_id], stop_ids[stop_id], arrival, departure, sequence
+
+        grouped: dict[str, tuple[list[GtfsStopTime], array]] = {}
+        for line, row in table:
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            trip_id = trip_ids.get(row[i_trip])
+            stop_id = stop_ids.get(row[i_stop])
+            arrival = clock(row[i_arr])
+            departure = clock(row[i_dep])
+            try:
+                sequence = int(row[i_seq])  # int() ignores the padding strip() would remove
+            except ValueError:
+                sequence = None
+            if None in (trip_id, stop_id, arrival, departure, sequence):
+                trip_id, stop_id, arrival, departure, sequence = checked(row, line)
+            if departure < arrival:
+                raise MalformedRow("stop_times.txt", line, "departure before arrival")
+            if trip_id not in kept_trips:
+                continue  # trip filtered out by the service date
+            group = grouped.get(trip_id)
+            if group is None:
+                group = grouped[trip_id] = ([], array("Q"))
+            group[0].append(GtfsStopTime(trip_id, stop_id, arrival, departure, sequence))
+            group[1].append(line)
     return grouped
 
 
 def _order_stoptimes(
-    grouped: dict[str, list[tuple[int, GtfsStopTime]]]
+    grouped: dict[str, tuple[list[GtfsStopTime], array]]
 ) -> dict[str, tuple[GtfsStopTime, ...]]:
+    """Each trip's stoptimes by stop_sequence; empties ``grouped`` as it goes."""
     ordered: dict[str, tuple[GtfsStopTime, ...]] = {}
     for trip_id in sorted(grouped):
-        rows = sorted(grouped[trip_id], key=lambda pair: pair[1].stop_sequence)
+        rows, lines = grouped.pop(trip_id)
+        order = sorted(range(len(rows)), key=lambda i: rows[i].stop_sequence)
         previous: GtfsStopTime | None = None
-        for line, st in rows:
+        for i in order:
+            st = rows[i]
             if previous is not None:
                 if st.stop_sequence == previous.stop_sequence:
                     raise MalformedRow(
-                        "stop_times.txt", line,
+                        "stop_times.txt", lines[i],
                         f"duplicate stop_sequence {st.stop_sequence} in trip {trip_id!r}",
                     )
                 if st.arrival < previous.departure:
                     raise MalformedRow(
-                        "stop_times.txt", line,
+                        "stop_times.txt", lines[i],
                         f"arrival goes backwards in trip {trip_id!r}",
                     )
             previous = st
-        ordered[trip_id] = tuple(st for _, st in rows)
+        ordered[trip_id] = tuple(rows[i] for i in order)
     return ordered
 
 
 def _parse_calendar(source: _FeedSource) -> tuple[CalendarRow, ...]:
     out = []
-    table = _Table(source, "calendar.txt", required=False)
-    for line, row in table.rows():
-        service_id = table.need(row, "service_id", line)
-        try:
-            weekdays = tuple(int(table.need(row, c, line)) for c in _WEEKDAY_COLUMNS)
-            start = int(table.need(row, "start_date", line))
-            end = int(table.need(row, "end_date", line))
-        except ValueError as exc:
-            raise MalformedRow("calendar.txt", line, str(exc)) from None
-        out.append(CalendarRow(service_id, weekdays, start, end))
+    with _Table(source, "calendar.txt", required=False) as table:
+        for line, row in table:
+            service_id = table.need(row, "service_id", line)
+            try:
+                weekdays = tuple(int(table.need(row, c, line)) for c in _WEEKDAY_COLUMNS)
+                start = int(table.need(row, "start_date", line))
+                end = int(table.need(row, "end_date", line))
+            except ValueError as exc:
+                raise MalformedRow("calendar.txt", line, str(exc)) from None
+            out.append(CalendarRow(service_id, weekdays, start, end))
     return tuple(sorted(out, key=lambda r: r.service_id))
 
 
 def _parse_calendar_dates(source: _FeedSource) -> tuple[CalendarDateRow, ...]:
     out = []
-    table = _Table(source, "calendar_dates.txt", required=False)
-    for line, row in table.rows():
-        service_id = table.need(row, "service_id", line)
-        try:
-            day = int(table.need(row, "date", line))
-            kind = int(table.need(row, "exception_type", line))
-        except ValueError as exc:
-            raise MalformedRow("calendar_dates.txt", line, str(exc)) from None
-        if kind not in (1, 2):
-            raise MalformedRow("calendar_dates.txt", line, f"bad exception_type {kind}")
-        out.append(CalendarDateRow(service_id, day, kind))
+    with _Table(source, "calendar_dates.txt", required=False) as table:
+        for line, row in table:
+            service_id = table.need(row, "service_id", line)
+            try:
+                day = int(table.need(row, "date", line))
+                kind = int(table.need(row, "exception_type", line))
+            except ValueError as exc:
+                raise MalformedRow("calendar_dates.txt", line, str(exc)) from None
+            if kind not in (1, 2):
+                raise MalformedRow("calendar_dates.txt", line, f"bad exception_type {kind}")
+            out.append(CalendarDateRow(service_id, day, kind))
     return tuple(sorted(out, key=lambda r: (r.service_id, r.date, r.exception_type)))
 
 
@@ -496,7 +602,7 @@ def parse_gtfs(path: str | Path, service_date: str | _date | None = None) -> Tim
         source.close()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -509,6 +615,7 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
     Output is canonical: rows sorted by id (stoptimes by trip and
     sequence), times zero-padded, coordinates with enough digits to
     re-parse to the same float.  Unconsumed files are copied verbatim.
+    Rows are made one at a time as the writer asks for them.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -516,61 +623,59 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
     _write_csv(
         directory / "stops.txt",
         ["stop_id", "stop_name", "stop_lat", "stop_lon"],
-        [
+        (
             [s.stop_id, s.name, format_coordinate(s.position.lat), format_coordinate(s.position.lon)]
             for s in (t.stops[k] for k in sorted(t.stops))
-        ],
+        ),
     )
     _write_csv(
         directory / "routes.txt",
         ["route_id", "route_short_name", "route_long_name", "route_type"],
-        [
+        (
             [r.route_id, "", r.name, str(r.route_type)]
             for r in (t.routes[k] for k in sorted(t.routes))
-        ],
+        ),
     )
     _write_csv(
         directory / "trips.txt",
         ["route_id", "service_id", "trip_id"],
-        [
+        (
             [tr.route_id, tr.service_id, tr.trip_id]
             for tr in (t.trips[k] for k in sorted(t.trips))
-        ],
+        ),
     )
-    stoptime_rows = []
-    for trip_id in sorted(t.stoptimes):
-        for st in t.stoptimes[trip_id]:
-            stoptime_rows.append(
-                [
-                    st.trip_id,
-                    format_gtfs_time(st.arrival),
-                    format_gtfs_time(st.departure),
-                    st.stop_id,
-                    str(st.stop_sequence),
-                ]
-            )
     _write_csv(
         directory / "stop_times.txt",
         ["trip_id", "arrival_time", "departure_time", "stop_id", "stop_sequence"],
-        stoptime_rows,
+        (
+            [
+                st.trip_id,
+                format_gtfs_time(st.arrival),
+                format_gtfs_time(st.departure),
+                st.stop_id,
+                str(st.stop_sequence),
+            ]
+            for trip_id in sorted(t.stoptimes)
+            for st in t.stoptimes[trip_id]
+        ),
     )
     if t.calendar:
         _write_csv(
             directory / "calendar.txt",
             ["service_id", *_WEEKDAY_COLUMNS, "start_date", "end_date"],
-            [
+            (
                 [row.service_id, *[str(d) for d in row.weekdays], str(row.start_date), str(row.end_date)]
                 for row in t.calendar
-            ],
+            ),
         )
     if t.calendar_dates:
         _write_csv(
             directory / "calendar_dates.txt",
             ["service_id", "date", "exception_type"],
-            [
+            (
                 [row.service_id, str(row.date), str(row.exception_type)]
                 for row in t.calendar_dates
-            ],
+            ),
         )
     for name, data in sorted(t.extra_files.items()):
         (directory / name).write_bytes(data)

@@ -9,7 +9,6 @@ seed and per-agent substreams, so regeneration is order-independent.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .drivers import Driver
 from .geo import GeoPoint
-from .gtfs import format_coordinate, parse_gtfs_time
+from .gtfs import CsvRows, format_coordinate, parse_gtfs_time
 from .matching import Rider
 
 # Metres of latitude per degree, and of longitude per degree at the
@@ -232,33 +231,26 @@ def read_csv(path: str | Path, header: list[str], parse: Callable[[list[str]], T
     """``parse(cells)`` of every non-blank row of a CSV file, in file order.
 
     ``cells`` are the row's values in ``header`` order, stripped, and ""
-    where the row is too short.  Bytes that are not UTF-8, text the CSV
-    reader rejects, a column the file lacks and a ValueError from
-    ``parse`` raise :class:`ScenarioError` naming the file and line.
+    where the row is too short.  The file is streamed through
+    :class:`~poollines.gtfs.CsvRows`, as a feed table is, and closed
+    whether the read returns or raises.  Bytes that are not UTF-8, text
+    the CSV reader rejects, a column the file lacks and a ValueError
+    from ``parse`` raise :class:`ScenarioError` naming the file and line.
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw[: exc.start].count(b"\n") + 1
-        raise ScenarioError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
-    reader = csv.reader(io.StringIO(text))
-    records = []
-    try:
-        column = {key.strip(): i for i, key in enumerate(next(reader, []))}
-        missing = [key for key in header if key not in column]
+    def fault(line: int, reason: str) -> ScenarioError:
+        return ScenarioError(f"{path}:{line}: {reason}")
+
+    with CsvRows(Path(path).open("rb"), "utf-8", fault) as rows:
+        missing = [key for key in header if key not in rows.columns]
         if missing:
-            raise ScenarioError(f"{path}:1: missing column {missing[0]!r}")
-        index = [column[key] for key in header]
-        for row in reader:
-            if row:
+            raise fault(1, f"missing column {missing[0]!r}")
+        index = [rows.columns[key] for key in header]
+        records = []
+        for line, row in rows:
+            try:
                 records.append(parse([row[i].strip() if i < len(row) else "" for i in index]))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}:{reader.line_num}: {exc}") from None
-    except csv.Error as exc:
-        # The reader's advice after " - " is about opening files in Python.
-        reason = str(exc).split(" - ")[0]
-        raise ScenarioError(f"{path}:{reader.line_num}: unreadable CSV: {reason}") from None
+            except ValueError as exc:
+                raise fault(line, str(exc)) from None
     return tuple(records)
 
 

@@ -6,11 +6,18 @@ which is a different algorithm family from the connection scan in the
 package, so shared bugs are unlikely.  :class:`ReferencePlanner` keeps
 the package's earlier scan, which relaxed every footpath link and kept
 footpath and vehicle labels apart, to pin full itineraries, tie-breaks
-included.
+included.  :class:`WholeTextTable` and :func:`reference_read_csv` are
+the CSV readers the package had before it streamed its files: each
+decodes a whole file at once and runs ``csv.reader`` over
+``io.StringIO`` of the text.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,6 +32,8 @@ from poollines.geo import (
 from poollines.gtfs import (
     CalendarRow,
     GtfsStopTime,
+    MalformedRow,
+    MissingFile,
     Route,
     Stop,
     Timetable,
@@ -32,6 +41,7 @@ from poollines.gtfs import (
 )
 from poollines.injection import pool_trip_id
 from poollines.planner import FootpathSet, Itinerary, Leg, Planner, PlanRequest
+from poollines.scenario import ScenarioError
 
 SPHERE_RADIUS_KM = 6371.0088
 
@@ -599,3 +609,93 @@ def random_endpoints(rng: np.random.Generator):
     )
     departure = int(rng.integers(8 * 3600, int(10.5 * 3600)))
     return origin, destination, departure
+
+
+class WholeTextTable:
+    """The feed table reader of the package before it streamed: a reference.
+
+    It reads the whole file as bytes, decodes them at once (``utf-8-sig``)
+    and iterates ``csv.reader`` over ``io.StringIO`` of the text.  It has
+    the interface of ``poollines.gtfs._Table``, so a parse can run on it
+    in that class's place.
+    """
+
+    def __init__(self, source, name: str, required: bool):
+        self.name = name
+        raw = source.read_bytes(name)
+        if raw is None and required:
+            raise MissingFile(name)
+        try:
+            text = raw.decode("utf-8-sig") if raw else ""
+        except UnicodeDecodeError as exc:
+            line = exc.object[: exc.start].count(b"\n") + 1
+            bad = exc.object[exc.start]
+            raise MalformedRow(name, line, f"byte 0x{bad:02x} is not UTF-8") from None
+        self._reader = csv.reader(io.StringIO(text))
+        try:
+            header = next(self._reader, [])
+        except csv.Error as exc:
+            raise self._unreadable(exc) from None
+        self.header = header
+        self.width = len(header)
+        self.columns = {key.strip(): i for i, key in enumerate(header)}
+
+    def _unreadable(self, exc: csv.Error) -> MalformedRow:
+        reason = str(exc).split(" - ")[0]
+        return MalformedRow(self.name, self._reader.line_num, f"unreadable CSV: {reason}")
+
+    def __iter__(self):
+        reader = self._reader
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise self._unreadable(exc) from None
+
+    def get(self, row: list[str], key: str) -> str:
+        i = self.columns.get(key, self.width)
+        return row[i].strip() if i < len(row) else ""
+
+    def need(self, row: list[str], key: str, line: int) -> str:
+        value = self.get(row, key)
+        if value == "":
+            raise MalformedRow(self.name, line, f"missing value for {key!r}")
+        return value
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+
+def reference_read_csv(path: str | Path, header: list[str], parse: Callable[[list[str]], object]) -> tuple:
+    """``scenario.read_csv`` as it was before it streamed: a reference.
+
+    The whole file is read and decoded (plain ``utf-8``) at once, and
+    ``csv.reader`` runs over ``io.StringIO`` of the text.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        raise ScenarioError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+    reader = csv.reader(io.StringIO(text))
+    records = []
+    try:
+        column = {key.strip(): i for i, key in enumerate(next(reader, []))}
+        missing = [key for key in header if key not in column]
+        if missing:
+            raise ScenarioError(f"{path}:1: missing column {missing[0]!r}")
+        index = [column[key] for key in header]
+        for row in reader:
+            if row:
+                records.append(parse([row[i].strip() if i < len(row) else "" for i in index]))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}:{reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        reason = str(exc).split(" - ")[0]
+        raise ScenarioError(f"{path}:{reader.line_num}: unreadable CSV: {reason}") from None
+    return tuple(records)
