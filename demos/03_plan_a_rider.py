@@ -46,7 +46,7 @@ def show(it, label):
 # Find a rider whose best integrated journey actually rides a poolline.
 for rider in scenario.riders:
     req = PlanRequest(rider.origin, rider.destination, rider.departure_time)
-    best = planner.plan(req)[0]
+    best = planner.earliest_arrival(req)
     if best.carpool_legs:
         break
 

@@ -354,11 +354,10 @@ class _Table(CsvRows):
             stream = io.BytesIO()
         self.name = name
         super().__init__(stream, "utf-8-sig", lambda line, reason: MalformedRow(name, line, reason))
-        self.width = len(self.header)
 
     def get(self, row: list[str], key: str) -> str:
-        i = self.columns.get(key, self.width)
-        return row[i].strip() if i < len(row) else ""
+        i = self.columns.get(key)
+        return row[i].strip() if i is not None and i < len(row) else ""
 
     def need(self, row: list[str], key: str, line: int) -> str:
         value = self.get(row, key)
@@ -429,13 +428,13 @@ def _parse_stoptimes(
     map to the feed's own strings, and every row at the same second of
     the day gets the same int object.  Any other row goes through every
     check in order, so a fault reports the same reason whichever row it
-    first appears on.
+    first appears on.  When the header lacks one of those columns, every
+    row takes the checked path, which reads the column as "".
     """
     with _Table(source, "stop_times.txt", required=True) as table:
-        columns = [
-            table.columns.get(key, table.width)
-            for key in ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
-        ]
+        keys = ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
+        complete = all(key in table.columns for key in keys)
+        columns = [table.columns.get(key, 0) for key in keys]
         i_trip, i_stop, i_arr, i_dep, i_seq = columns
         width = max(columns) + 1
         trip_ids = {k: k for k in known_trips}
@@ -473,17 +472,18 @@ def _parse_stoptimes(
 
         grouped: dict[str, tuple[list[GtfsStopTime], array]] = {}
         for line, row in table:
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            trip_id = trip_ids.get(row[i_trip])
-            stop_id = stop_ids.get(row[i_stop])
-            arrival = clock(row[i_arr])
-            departure = clock(row[i_dep])
-            try:
-                sequence = int(row[i_seq])  # int() ignores the padding strip() would remove
-            except ValueError:
-                sequence = None
-            if None in (trip_id, stop_id, arrival, departure, sequence):
+            if complete:
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                trip_id = trip_ids.get(row[i_trip])
+                stop_id = stop_ids.get(row[i_stop])
+                arrival = clock(row[i_arr])
+                departure = clock(row[i_dep])
+                try:
+                    sequence = int(row[i_seq])  # int() ignores the padding strip() would remove
+                except ValueError:
+                    sequence = None
+            if not complete or None in (trip_id, stop_id, arrival, departure, sequence):
                 trip_id, stop_id, arrival, departure, sequence = checked(row, line)
             if departure < arrival:
                 raise MalformedRow("stop_times.txt", line, "departure before arrival")

@@ -107,7 +107,7 @@ def resolve_rider(
     """First feasible itinerary for the rider, or an unserved outcome.
 
     Alternatives are evaluated lazily in the planner's order, so the
-    chosen journey is the same as scanning the full ``plan`` list.
+    chosen journey is the same as scanning the full list of them.
     """
     req = PlanRequest(
         origin=r.origin,

@@ -12,35 +12,9 @@ within ``max_walk_km`` road-kilometres, and stop-to-stop footpaths.
 Changing vehicles at one stop costs ``transfer_s`` seconds; a footpath
 transfer needs no buffer beyond its own walking time.
 
-The scan keeps one boarding label per stop: the earliest time a rider
-can stand there ready to board, whether by the access walk, by a
-vehicle arrival plus ``transfer_s``, or by a footpath.  Each planner
-mode has its own footpath fans, holding only the links to stops that
-a vehicle of that mode leaves.  A relaxation reads only links whose
-walk ends by the last departure the mode makes from the target (for
-stops the mode leaves once) or by the scan limit (for the others): a
-later label is never boarded from.  Only the connections that can
-matter are scanned: none before the earliest access arrival, none
-after the scan limit, the best arrival so far less the shortest egress
-walk.
-
-A solve with fewer usable trips than another of the same request reads
-only the connections whose trip the other had boarded when it read
-them, then goes on from where the other stopped.  Alternative k is
-seeded by alternative k-1, and a restricted mode's first solve by the
-request's first TRANSIT solve.
-
-Footpaths are built only from stops where a vehicle arrives to stops
-where one departs, by querying a KD-tree over the first set against
-one over the second.
-
-A request's set-up reads only the stops in walking range of its
-endpoints: a KD-tree over the stops' unit vectors on the sphere, built
-once per planner, finds candidates by a ball query, and the road
-distance makes the exact cut.  Its cost grows with those stops, not
-with the feed, whose stop count grows with the number of drivers.  The
-set-up does not depend on the mode, and the planner keeps the last
-one, so a rider's modes solved back to back share it.
+The scan, the footpaths each mode keeps and how they are built, how one
+solve seeds the next, and a request's set-up are described on
+:class:`Planner`.
 """
 from __future__ import annotations
 
@@ -141,9 +115,10 @@ class FootpathSet:
 
     ``stop_ids`` fixes the stop indexing; for source stop i the targets
     are ``targets[starts[i]:starts[i+1]]``, sorted, with matching walk
-    seconds and kilometres.  :func:`build_footpaths` without masks
-    returns a symmetric set; with masks, and in a :class:`Planner`, only
-    the links a scan can read.
+    seconds and kilometres.  :func:`build_footpaths` without arrival and
+    departure times returns a symmetric set; with them, and in a
+    :class:`Planner`, only the links some arrival can use (see
+    :func:`_usable_links`).
     """
 
     stop_ids: tuple[str, ...]
@@ -152,16 +127,28 @@ class FootpathSet:
     seconds: np.ndarray
     km: np.ndarray
 
-    def restricted(self, sources: np.ndarray, targets: np.ndarray) -> "FootpathSet":
-        """The links from a stop flagged in ``sources`` to one flagged in ``targets``."""
+    def usable(self, first_arrival: np.ndarray, last_departure: np.ndarray) -> "FootpathSet":
+        """The links :func:`_usable_links` passes with these times."""
         n = len(self.stop_ids)
         source = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.starts))
-        keep = sources[source] & targets[self.targets]
+        keep = _usable_links(source, self.targets, self.seconds, first_arrival, last_departure)
         starts = np.zeros(n + 1, dtype=np.int64)
         starts[1:] = np.cumsum(np.bincount(source[keep], minlength=n))
-        return FootpathSet(
-            self.stop_ids, starts, self.targets[keep], self.seconds[keep], self.km[keep]
-        )
+        return FootpathSet(self.stop_ids, starts, self.targets[keep], self.seconds[keep], self.km[keep])
+
+
+def _usable_links(
+    source: np.ndarray,
+    target: np.ndarray,
+    seconds: np.ndarray,
+    first_arrival: np.ndarray,
+    last_departure: np.ndarray,
+) -> np.ndarray:
+    """Which links u→v some arrival can use: walked from the first
+    arrival at u, they end by the last departure from v.  A stop nothing
+    arrives at has first arrival infinity; one nothing leaves has last
+    departure minus infinity."""
+    return first_arrival[source] + seconds <= last_departure[target]
 
 
 def _walk_seconds_vec(road: np.ndarray, model: TravelModel) -> np.ndarray:
@@ -169,25 +156,33 @@ def _walk_seconds_vec(road: np.ndarray, model: TravelModel) -> np.ndarray:
     return np.maximum(0.0, np.ceil(raw - 1e-9))
 
 
+# Source stops per KD query of the footpath build.  A block's candidate
+# pairs, the build's working memory, grow with it and not with the feed.
+_FOOTPATH_BLOCK = 128
+
+
 def build_footpaths(
     t: Timetable,
     model: TravelModel,
     max_walk_km: float = DEFAULT_MAX_WALK_KM,
-    sources: np.ndarray | None = None,
-    targets: np.ndarray | None = None,
+    first_arrival: np.ndarray | None = None,
+    last_departure: np.ndarray | None = None,
 ) -> FootpathSet:
     """Walking links between pairs of stops within the road-km cap.
 
-    ``sources`` and ``targets`` are boolean masks over the sorted stop
-    ids; only links from a flagged source to a flagged target are built,
-    and without masks every stop is both.  A KD-tree over the sources
-    and one over the targets, in a local flat projection, find the
-    candidate pairs with a safety margin; exact great-circle distances
-    make the final cut, so the result is identical to the quadratic
-    scan.  The distance of a pair is computed from its lower-indexed
-    stop, so both directions of a link carry the same bits, and the
-    masked result equals
-    ``build_footpaths(t, model, max_walk_km).restricted(sources, targets)``.
+    Without times the set is symmetric.  With ``first_arrival`` and
+    ``last_departure``, one time per sorted stop id, it holds only the
+    links :func:`_usable_links` passes, and equals
+    ``build_footpaths(t, model, max_walk_km).usable(first_arrival, last_departure)``.
+
+    The sources go ``_FOOTPATH_BLOCK`` at a time.  A KD-tree over the
+    block, in a local flat projection, is queried against one over the
+    targets for candidate pairs, with a safety margin; exact
+    great-circle distances make the cut, so the links are those of the
+    quadratic scan; then come the time rule and the sort.  Neither the
+    candidate pairs nor the links the rule drops outlive their block.
+    A pair's distance is computed from its lower-indexed stop, so both
+    directions of a link carry the same bits.
     """
     stop_ids = tuple(sorted(t.stops))
     n = len(stop_ids)
@@ -195,41 +190,43 @@ def build_footpaths(
     if n == 0 or max_walk_km <= 0:
         empty = np.zeros(0)
         return FootpathSet(stop_ids, starts, empty.astype(np.int64), empty, empty)
+    if first_arrival is None:
+        first_arrival, last_departure = np.zeros(n), np.full(n, _INF)
 
-    lat = np.array([t.stops[s].position.lat for s in stop_ids])
-    lon = np.array([t.stops[s].position.lon for s in stop_ids])
-    lat_r = np.radians(lat)
-    lon_r = np.radians(lon)
+    lat_r = np.radians([t.stops[s].position.lat for s in stop_ids])
+    lon_r = np.radians([t.stops[s].position.lon for s in stop_ids])
     mid = float(np.mean(lat_r))
-    xy = np.column_stack(
-        (EARTH_RADIUS_KM * np.cos(mid) * lon_r, EARTH_RADIUS_KM * lat_r)
-    )
-    radius = max_walk_km / model.circuity
-    src = np.arange(n) if sources is None else np.flatnonzero(sources)
-    dst = np.arange(n) if targets is None else np.flatnonzero(targets)
-    pairs = cKDTree(xy[src]).sparse_distance_matrix(
-        cKDTree(xy[dst]), radius * 1.05 + 0.01, output_type="ndarray"
-    )
-    a = src[pairs["i"]]
-    b = dst[pairs["j"]]
-    distinct = a != b
-    a, b = a[distinct], b[distinct]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    h = (
-        np.sin((lat_r[hi] - lat_r[lo]) / 2.0) ** 2
-        + np.cos(lat_r[lo]) * np.cos(lat_r[hi]) * np.sin((lon_r[hi] - lon_r[lo]) / 2.0) ** 2
-    )
-    hav = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
-    road = model.circuity * hav
-    keep = road <= max_walk_km
-    a, b, road = a[keep], b[keep], road[keep]
-    # Through int64, so a zero-length link gets 0.0 seconds, not ceil's -0.0.
-    secs = _walk_seconds_vec(road, model).astype(np.int64).astype(np.float64)
+    xy = np.column_stack((EARTH_RADIUS_KM * np.cos(mid) * lon_r, EARTH_RADIUS_KM * lat_r))
+    reach = max_walk_km / model.circuity * 1.05 + 0.01
+    src = np.flatnonzero(first_arrival < _INF)
+    dst = np.flatnonzero(last_departure > -_INF)
+    dst_tree = cKDTree(xy[dst])
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+    for k in range(0, len(src), _FOOTPATH_BLOCK):
+        block = src[k : k + _FOOTPATH_BLOCK]
+        pairs = cKDTree(xy[block]).sparse_distance_matrix(dst_tree, reach, output_type="ndarray")
+        a, b = block[pairs["i"]], dst[pairs["j"]]
+        del pairs
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        h = (
+            np.sin((lat_r[hi] - lat_r[lo]) / 2.0) ** 2
+            + np.cos(lat_r[lo]) * np.cos(lat_r[hi]) * np.sin((lon_r[hi] - lon_r[lo]) / 2.0) ** 2
+        )
+        del lo, hi
+        road = model.circuity * (2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h)))
+        keep = (road <= max_walk_km) & (a != b)
+        a, b, road = a[keep], b[keep], road[keep]
+        # Through int64, so a zero-length link gets 0.0 seconds, not ceil's -0.0.
+        secs = _walk_seconds_vec(road, model).astype(np.int64).astype(np.float64)
+        keep = _usable_links(a, b, secs, first_arrival, last_departure)
+        a, b, secs, road = a[keep], b[keep], secs[keep], road[keep]
+        order = np.argsort(a * n + b)
+        starts[1:] += np.bincount(a, minlength=n)
+        parts.append((b[order], secs[order], road[order]))
 
-    order = np.argsort(a * n + b)
-    starts[1:] = np.cumsum(np.bincount(a, minlength=n))
-    return FootpathSet(stop_ids, starts, b[order], secs[order], road[order])
+    np.cumsum(starts, out=starts)
+    targets, secs, road = (np.concatenate(column) for column in zip(*parts))
+    return FootpathSet(stop_ids, starts, targets, secs, road)
 
 
 @dataclass(frozen=True)
@@ -253,7 +250,7 @@ class _StopWalks:
 
 
 class _FanTable(NamedTuple):
-    """One mode's footpaths in CSR layout, as the scan relaxes them.
+    """The footpaths one mode keeps, in CSR layout, as the scan relaxes them.
 
     For source stop i the links are ``[starts[i], starts[i+1])``, with
     4-byte targets and keys and float walk seconds, in two parts split
@@ -312,27 +309,40 @@ class _RequestLinks:
 class Planner:
     """Prepared search structures for one timetable and travel model.
 
-    ``footpaths`` holds only the links the scan can read: from a stop
-    where some connection arrives to a stop where some connection
-    departs.  It is therefore not symmetric.  The planner sorts its
-    connections first and then builds just those links with
-    :func:`build_footpaths`; a ``footpaths`` argument is cut down to
-    them with :meth:`FootpathSet.restricted`.
+    A mode M keeps the footpath u→v with walk w only when some arrival
+    of M can use it: some connection of M arrives at u, some connection
+    of M leaves v, and M's first arrival at u plus w is no later than
+    M's last departure from v (:func:`_usable_links`).  ``footpaths``
+    holds the links TRANSIT keeps, the union of the three modes' sets,
+    so it is not symmetric.  The planner sorts its connections first
+    and then builds just those links with :func:`build_footpaths`; a
+    ``footpaths`` argument is cut down to them with
+    :meth:`FootpathSet.usable`.
 
-    The scan reads its own copy of these links, one table per mode.  A
-    mode's table keeps the links whose target some connection of that
-    mode leaves, and splits each source's fan in two.  The first part
-    leads to the stops the mode leaves once (a driver's origin stop, for
-    one), ordered by the key ``walk_s - (that departure)``; the second
-    leads to the other stops, ordered by walk seconds.  A footpath walked
-    from an arrival at ``at`` gives the label ``at + walk_s``.  Nothing
-    boards from it when it is later than the mode's last departure from
-    the target, or later than the scan limit: nothing departing after
-    the limit is scanned, the limit only falls, and a reconstruction
-    reads labels no later than a boarding time.  So a relaxation reads
-    the first part up to the key ``-at`` and the second up to walk
-    seconds ``limit - at``, each found by bisection, and boarding, the
-    footpath sources and the answers stay those of relaxing every link.
+    Dropping the other links changes no answer.  A relaxation of u→v
+    happens at some arrival ``at`` of M at u, no earlier than M's first
+    arrival there, so a dropped link only ever offers v a label later
+    than every departure of M from v.  Such a label decides no
+    boarding, which compares a departure from v with v's label.  A kept
+    link writes a label no later than v's last departure under the same
+    condition, ``cand < reach[v]``, whether a dropped label is there or
+    not: the dropped label is later than ``cand``, and the label without
+    it is no earlier.  The same holds for a vehicle label.  So every
+    label no later than v's last departure is the same with and without
+    the dropped links, and :meth:`_reconstruct` reads ``reach`` and
+    ``foot_prev`` only at a boarding stop, against a label no later than
+    the boarding time.  The best arrival, the limit, every boarding,
+    every :class:`_Scan` record and every itinerary stay those of
+    relaxing every link from where M arrives to where M departs.
+    Removing links from a fan also keeps its keys sorted, so both
+    bisections below still cut where they did.
+
+    The scan reads its own copy of the links, one :class:`_FanTable`
+    per mode.  By the argument above, a label later than the target's
+    last departure, or than the scan limit, is never boarded from:
+    nothing departing after the limit is scanned, and the limit only
+    falls.  So a relaxation reads each part of a fan only up to that
+    bound, found by bisection.
 
     A stop's boarding label is the minimum of its access arrival, its
     vehicle arrival plus ``transfer_s`` and its footpath arrivals; a
@@ -463,58 +473,58 @@ class Planner:
 
         # Per mode, the connections it may use, in scan order, and their
         # departure times.  The scan bisects a list of them: a float
-        # searched in an int64 array would cast the whole array.
+        # searched in an int64 array would cast the whole array.  And
+        # each stop's first arrival and last departure in the mode: a link
+        # is in the mode's table only when _usable_links passes it with
+        # these.  TRANSIT's rule is the union of the three.
         pool = np.array(self._pool_flags, dtype=bool)[c_trip]
         mode_rows = {
             PlanMode.TRANSIT: np.arange(len(dep_t)),
             PlanMode.TRANSIT_NO_POOL: np.flatnonzero(~pool),
             PlanMode.POOL_ONLY: np.flatnonzero(pool),
         }
+        n = len(self._stop_ids)
         self._mode_conns = {}
+        mode_times = {}
         for mode, rows in mode_rows.items():
             conns = range(len(dep_t)) if mode is PlanMode.TRANSIT else rows.tolist()
             self._mode_conns[mode] = (conns, [self._c_dep_t[ci] for ci in conns])
-
-        arriving = np.zeros(len(self._stop_ids), dtype=bool)
-        arriving[arr_s] = True
-        departing = np.zeros(len(self._stop_ids), dtype=bool)
-        departing[dep_s] = True
+            first = np.full(n, _INF)
+            np.minimum.at(first, arr_s[rows], arr_t[rows])
+            last = np.full(n, -_INF)
+            np.maximum.at(last, dep_s[rows], dep_t[rows])
+            mode_times[mode] = (first, last)
+        transit = mode_times[PlanMode.TRANSIT]
         if footpaths is None:
-            self.footpaths = build_footpaths(timetable, model, max_walk_km, arriving, departing)
+            self.footpaths = build_footpaths(timetable, model, max_walk_km, *transit)
         else:
-            self.footpaths = footpaths.restricted(arriving, departing)
+            self.footpaths = footpaths.usable(*transit)
 
-        # Per mode, the scan's copy of the links it can board from: those
-        # whose target some connection of the mode leaves.  Each source's
-        # fan holds first the links to targets the mode leaves once, by
-        # walk seconds less that departure, then the rest, by walk
-        # seconds: the keys two bisections read.
+        # Per mode, the scan's copy of the links it keeps (see _FanTable).
         fp = self.footpaths
-        n = len(self._stop_ids)
         source = np.repeat(np.arange(n, dtype=np.int64), np.diff(fp.starts))
         # Walk seconds are whole, so the keys are exact integers.
         walk = fp.seconds.astype(np.int64)
         self._fans: dict[PlanMode, _FanTable] = {}
         for mode, rows in mode_rows.items():
-            departures = np.bincount(dep_s[rows], minlength=n)
-            last_dep = np.zeros(n, dtype=np.int64)
-            np.maximum.at(last_dep, dep_s[rows], dep_t[rows])
-            once = (departures == 1)[fp.targets]
-            key = np.where(once, walk - last_dep[fp.targets], walk)
+            first, last = mode_times[mode]
+            links = np.flatnonzero(_usable_links(source, fp.targets, fp.seconds, first, last))
+            target = fp.targets[links]
+            once = (np.bincount(dep_s[rows], minlength=n) == 1)[target]
+            key = walk[links] - np.where(once, last[target], 0.0).astype(np.int64)
             lo = int(key.min(initial=0))
             span = int(key.max(initial=0)) - lo + 1
-            links = np.flatnonzero(departures[fp.targets] > 0)
-            rank = (2 * source + ~once) * span + (key - lo)
-            order = links[np.argsort(rank[links], kind="stable")]
+            order = np.argsort((2 * source[links] + ~once) * span + (key - lo), kind="stable")
+            links, once, key = links[order], once[order], key[order]
             starts = np.zeros(n + 1, dtype=np.int64)
-            starts[1:] = np.cumsum(np.bincount(source[order], minlength=n))
-            split = starts[:-1] + np.bincount(source[order[once[order]]], minlength=n)
+            starts[1:] = np.cumsum(np.bincount(source[links], minlength=n))
+            split = starts[:-1] + np.bincount(source[links[once]], minlength=n)
             self._fans[mode] = _FanTable(
                 starts.tolist(),
                 split.tolist(),
-                array("i", fp.targets[order].astype(np.int32).tobytes()),
-                array("d", fp.seconds[order].astype(np.float64, copy=False).tobytes()),
-                array("i", key[order].astype(np.int32).tobytes()),
+                array("i", fp.targets[links].astype(np.int32).tobytes()),
+                array("d", fp.seconds[links].astype(np.float64, copy=False).tobytes()),
+                array("i", key.astype(np.int32).tobytes()),
             )
 
     # ---- helpers ----------------------------------------------------
@@ -626,17 +636,10 @@ class Planner:
         Returns the itinerary and the solve's :class:`_Scan` (None for a
         request that can only walk).  ``seed`` is the scan of a solve of
         the same request whose usable trips include all of this one's,
-        its connections cut to this mode's trips.  At each connection
-        this solve's readable labels, best arrival and limit are no
-        earlier than the seed's (see :class:`Planner`), so a connection
-        whose trip the seed had not boarded when it read it is one this
-        solve cannot board either; and the seed read every connection
-        departing by its final limit.  So the solve reads the seed's live
-        connections and then those departing after the seed's limit, and
-        gets the answer and the record of a full scan.  Without a seed it scans the whole window.
-        A relaxation reads only the labels a later boarding can use: up
-        to the mode's one departure from a stop it leaves once, up to
-        the limit elsewhere.
+        its connections cut to this mode's trips.  The solve reads the
+        seed's live connections, then those departing after the seed's
+        limit, and gets the answer and the record of a full scan (see
+        :class:`Planner`).  Without a seed it scans the whole window.
         """
         direct = self._walk_only(req)
         if links is None:
@@ -914,10 +917,6 @@ class Planner:
         if req.mode is PlanMode.TRANSIT:
             self._last_links[2] = scan
         return it, scan
-
-    def plan(self, req: PlanRequest) -> list[Itinerary]:
-        """Alternative itineraries, earliest arrival first, deduplicated."""
-        return list(self.iter_itineraries(req))
 
 
 def _signature(it: Itinerary) -> tuple:

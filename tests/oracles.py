@@ -40,7 +40,15 @@ from poollines.gtfs import (
     Trip,
 )
 from poollines.injection import pool_trip_id
-from poollines.planner import FootpathSet, Itinerary, Leg, Planner, PlanRequest
+from poollines.planner import (
+    DEFAULT_MAX_WALK_KM,
+    DEFAULT_TRANSFER_S,
+    FootpathSet,
+    Itinerary,
+    Leg,
+    Planner,
+    PlanRequest,
+)
 from poollines.scenario import ScenarioError
 
 SPHERE_RADIUS_KM = 6371.0088
@@ -224,7 +232,11 @@ class OracleRouter:
 class ReferencePlanner(Planner):
     """:class:`Planner` with the scan it had before the boarding label.
 
-    The build is the package's.  The access and egress walks are
+    The build is the package's, but for the footpaths: the scan reads
+    every link from a stop some connection arrives at to one some
+    connection leaves, as built by :func:`reference_build_footpaths`,
+    not only the links some arrival can use; or exactly the
+    ``footpaths`` it is given.  The access and egress walks are
     computed to every stop, not to the stops a ball query finds, and the
     scan relaxes every footpath link of
     an improved arrival with a numpy mask, keeps a footpath label apart
@@ -232,6 +244,21 @@ class ReferencePlanner(Planner):
     the request's departure to the best arrival.  Its itineraries are
     the reference for the package's, leg for leg.
     """
+
+    def __init__(
+        self,
+        timetable: Timetable,
+        model: TravelModel,
+        max_walk_km: float = DEFAULT_MAX_WALK_KM,
+        transfer_s: int = DEFAULT_TRANSFER_S,
+        footpaths: FootpathSet | None = None,
+    ):
+        super().__init__(timetable, model, max_walk_km, transfer_s, footpaths)
+        if footpaths is None:
+            footpaths = arriving_to_departing(
+                timetable, reference_build_footpaths(timetable, model, max_walk_km)
+            )
+        self.footpaths = footpaths
 
     def _endpoint_links(self, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
         """Walk seconds and km from a request endpoint to every stop.
@@ -437,8 +464,7 @@ def footpaths_from_links(
 ) -> FootpathSet:
     """Build the CSR footpath structure from explicit directed links.
 
-    ``links`` holds (from_stop, to_stop, seconds, km) and must already
-    be symmetric.
+    ``links`` holds (from_stop, to_stop, seconds, km), in any order.
     """
     stop_ids = tuple(sorted(timetable.stops))
     index = {sid: i for i, sid in enumerate(stop_ids)}
@@ -453,6 +479,29 @@ def footpaths_from_links(
         targets=np.array([r[1] for r in rows], dtype=np.int64),
         seconds=np.array([r[2] for r in rows], dtype=np.float64),
         km=np.array([r[3] for r in rows], dtype=np.float64),
+    )
+
+
+def footpath_links(fps: FootpathSet) -> list[tuple[str, str, float, float]]:
+    """(from_stop, to_stop, seconds, km) for every directed link of the CSR arrays."""
+    source = np.repeat(np.arange(len(fps.stop_ids)), np.diff(fps.starts))
+    return [
+        (fps.stop_ids[i], fps.stop_ids[j], s, km)
+        for i, j, s, km in zip(
+            source.tolist(), fps.targets.tolist(), fps.seconds.tolist(), fps.km.tolist()
+        )
+    ]
+
+
+def arriving_to_departing(timetable: Timetable, fps: FootpathSet) -> FootpathSet:
+    """The links of ``fps`` from a stop some hop of the timetable arrives
+    at to a stop some hop leaves, whatever the times."""
+    hops = [sts for sts in timetable.stoptimes.values() if len(sts) >= 2]
+    arriving = {x.stop_id for sts in hops for x in sts[1:]}
+    departing = {x.stop_id for sts in hops for x in sts[:-1]}
+    return footpaths_from_links(
+        timetable,
+        [l for l in footpath_links(fps) if l[0] in arriving and l[1] in departing],
     )
 
 
@@ -637,7 +686,6 @@ class WholeTextTable:
         except csv.Error as exc:
             raise self._unreadable(exc) from None
         self.header = header
-        self.width = len(header)
         self.columns = {key.strip(): i for i, key in enumerate(header)}
 
     def _unreadable(self, exc: csv.Error) -> MalformedRow:
@@ -654,8 +702,8 @@ class WholeTextTable:
             raise self._unreadable(exc) from None
 
     def get(self, row: list[str], key: str) -> str:
-        i = self.columns.get(key, self.width)
-        return row[i].strip() if i < len(row) else ""
+        i = self.columns.get(key)
+        return row[i].strip() if i is not None and i < len(row) else ""
 
     def need(self, row: list[str], key: str, line: int) -> str:
         value = self.get(row, key)

@@ -123,7 +123,7 @@ def _table_outcome(table_class, feed: Path):
     header, rows = None, []
     try:
         with table_class(source, "stop_times.txt", required=True) as table:
-            header = (table.header, table.columns, table.width)
+            header = (table.header, table.columns)
             rows.extend(table)
     except GtfsError as exc:
         return header, rows, (type(exc), str(exc))

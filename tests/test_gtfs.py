@@ -432,6 +432,11 @@ def _stop_times(*rows: str, header: str = _ST_HEADER, end: str = "\n") -> str:
             _stop_times("X1,08:00:00,08:00:00,A", header="trip_id,arrival_time,departure_time,stop_id"),
             "stop_times.txt:2: missing value for 'stop_sequence'",
         ),
+        # A cell past the header's width is not the column the header lacks.
+        (
+            _stop_times("X1,08:00:00,08:00:00,A,0", header="trip_id,arrival_time,departure_time,stop_id"),
+            "stop_times.txt:2: missing value for 'stop_sequence'",
+        ),
         (
             _stop_times(_ST_ROWS[0], "X1,08:03:20,08:04:20,,1", _ST_ROWS[2]),
             "stop_times.txt:3: missing value for 'stop_id'",
@@ -582,3 +587,11 @@ def test_short_row_reads_as_blank_cells(tmp_path):
         "stop_id,stop_lat,stop_lon\nA,45.0,-122.3\nB,45.01,-122.29\nC,45.02,-122.28\n",
     )
     assert parse_gtfs(nameless).stops["A"].name == ""
+
+
+def test_cell_past_the_header_is_not_a_missing_column(tmp_path):
+    feed = _feed_with(
+        tmp_path, "stops.txt",
+        "stop_id,stop_lat,stop_lon\nA,45.0,-122.3,surprise\nB,45.01,-122.29\nC,45.02,-122.28\n",
+    )
+    assert parse_gtfs(feed).stops["A"].name == ""

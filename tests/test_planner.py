@@ -1,12 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poollines import planner as planner_module
 from poollines.drivers import Driver, MeetingPointSet, compute_driver_journeys
 from poollines.geo import GeoPoint, TravelModel, haversine_km_to_point, road_km, walk_seconds
 from poollines.gtfs import GtfsStopTime, Route, Stop, Timetable, Trip
-from poollines.injection import inject_poollines, is_poolline_trip, origin_stop_id
+from poollines.injection import (
+    destination_stop_id,
+    inject_poollines,
+    is_poolline_trip,
+    origin_stop_id,
+    pool_trip_id,
+)
 from poollines.planner import (
     FootpathSet,
     Itinerary,
@@ -20,6 +29,8 @@ from poollines.planner import (
 from oracles import (
     OracleRouter,
     ReferencePlanner,
+    arriving_to_departing,
+    footpath_links,
     footpaths_from_links,
     random_endpoints,
     random_feed,
@@ -131,7 +142,8 @@ def test_footpath_to_a_stop_left_before_the_arrival_is_not_ridden():
         assert [(l.from_stop, l.to_stop, l.start, l.end) for l in it.legs if l.kind == "walk"][1] == (
             "Q", "Q0", 1000, 1000
         )
-        assert planner.plan(req) == ReferencePlanner(t, MODEL, transfer_s=transfer_s).plan(req)
+        reference = ReferencePlanner(t, MODEL, transfer_s=transfer_s)
+        assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
 
 
 def test_equal_footpath_arrivals_keep_the_first_source():
@@ -153,7 +165,8 @@ def test_equal_footpath_arrivals_keep_the_first_source():
     it = planner.earliest_arrival(req)
     assert _ride_trips(it) == ["TA", "TC"]
     assert [(l.from_stop, l.to_stop) for l in it.legs if l.kind == "walk"][1] == ("A1", "Q")
-    assert planner.plan(req) == ReferencePlanner(t, MODEL).plan(req)
+    reference = ReferencePlanner(t, MODEL)
+    assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
 
 
 def test_egress_tie_at_the_end_of_the_scan_window_goes_to_the_shorter_walk():
@@ -177,7 +190,8 @@ def test_egress_tie_at_the_end_of_the_scan_window_goes_to_the_shorter_walk():
     it = planner.earliest_arrival(req)
     assert it.arrive == best
     assert _ride_trips(it) == ["TY"]
-    assert planner.plan(req) == ReferencePlanner(t, MODEL).plan(req)
+    reference = ReferencePlanner(t, MODEL)
+    assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
 
 
 def test_footpath_label_on_the_scan_limit_is_boarded():
@@ -205,7 +219,8 @@ def test_footpath_label_on_the_scan_limit_is_boarded():
     it = planner.earliest_arrival(req)
     assert it.arrive == best
     assert _ride_trips(it) == ["TW", "TY"]
-    assert planner.plan(req) == ReferencePlanner(t, MODEL).plan(req)
+    reference = ReferencePlanner(t, MODEL)
+    assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
 
 
 def test_custom_transfer_buffer_is_honoured():
@@ -297,7 +312,7 @@ def test_each_mode_walks_to_the_stops_its_own_vehicles_leave():
         it = planner.earliest_arrival(req)
         assert (it.arrive, _ride_trips(it)[-1]) == (arrive, last_trip)
         assert len(it.ride_legs) == 2
-        assert planner.plan(req) == reference.plan(req)
+        assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
 
 
 def _mode_fixture():
@@ -339,7 +354,7 @@ def test_alternatives_ban_the_first_trip():
             "SLOW": [("P", 5200, 5200), ("R", 6000, 6000)],
         },
     )
-    plans = Planner(t, MODEL).plan(PlanRequest(P, R, 5000))
+    plans = list(Planner(t, MODEL).iter_itineraries(PlanRequest(P, R, 5000)))
     assert [_ride_trips(it) for it in plans] == [["FAST"], ["SLOW"], []]
     assert [it.arrive for it in plans] == sorted(it.arrive for it in plans)
 
@@ -349,7 +364,7 @@ def test_single_useful_trip_gives_two_itineraries():
         {"P": P, "R": R},
         {"ONLY": [("P", 5100, 5100), ("R", 5400, 5400)]},
     )
-    plans = Planner(t, MODEL).plan(PlanRequest(P, R, 5000))
+    plans = list(Planner(t, MODEL).iter_itineraries(PlanRequest(P, R, 5000)))
     assert len(plans) == 2
     assert _ride_trips(plans[0]) == ["ONLY"]
     assert not plans[1].ride_legs
@@ -361,14 +376,14 @@ def test_num_itineraries_caps_the_list():
         {"ONLY": [("P", 5100, 5100), ("R", 5400, 5400)]},
     )
     planner = Planner(t, MODEL)
-    assert len(planner.plan(PlanRequest(P, R, 5000, num_itineraries=1))) == 1
-    only = planner.plan(PlanRequest(P, R, 5000, num_itineraries=1))[0]
+    assert len(list(planner.iter_itineraries(PlanRequest(P, R, 5000, num_itineraries=1)))) == 1
+    only = list(planner.iter_itineraries(PlanRequest(P, R, 5000, num_itineraries=1)))[0]
     assert _ride_trips(only) == ["ONLY"]
 
 
 def test_no_service_yields_single_walk_plan():
     t = make_timetable({"P": P, "R": R}, {})
-    plans = Planner(t, MODEL).plan(PlanRequest(P, R, 5000))
+    plans = list(Planner(t, MODEL).iter_itineraries(PlanRequest(P, R, 5000)))
     assert len(plans) == 1
     assert not plans[0].ride_legs
 
@@ -405,7 +420,7 @@ def test_itinerary_structure_on_random_feeds():
         for _ in range(8):
             org, dst, dep = random_endpoints(rng)
             req = PlanRequest(org, dst, dep)
-            plans = planner.plan(req)
+            plans = list(planner.iter_itineraries(req))
             assert 1 <= len(plans) <= req.num_itineraries
             walk_arrive = plans[-1].arrive if not plans[-1].ride_legs else None
             sigs = set()
@@ -476,7 +491,8 @@ def test_planning_is_deterministic():
     b = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
     for _ in range(10):
         org, dst, dep = random_endpoints(rng)
-        assert a.plan(PlanRequest(org, dst, dep)) == b.plan(PlanRequest(org, dst, dep))
+        req = PlanRequest(org, dst, dep)
+        assert list(a.iter_itineraries(req)) == list(b.iter_itineraries(req))
 
 
 # ---- footpath construction ------------------------------------------
@@ -507,7 +523,7 @@ def test_footpaths_match_quadratic_scan():
                 km = reference_road_km(stops[sa].position, stops[sb].position, MODEL)
                 if km <= 2.5:
                     expected.add((sa, sb))
-        links = _links(fps)
+        links = footpath_links(fps)
         got = {(a, b) for a, b, _, _ in links}
         assert got == expected
         for a, b, secs, km in links:
@@ -527,17 +543,6 @@ def test_footpath_cap_zero_means_no_links():
     assert len(build_footpaths(t, MODEL, max_walk_km=0.0).targets) == 0
 
 
-def _links(fps: FootpathSet) -> list[tuple[str, str, float, float]]:
-    """(from_stop, to_stop, seconds, km) for every directed link of the CSR arrays."""
-    source = np.repeat(np.arange(len(fps.stop_ids)), np.diff(fps.starts))
-    return [
-        (fps.stop_ids[i], fps.stop_ids[j], s, km)
-        for i, j, s, km in zip(
-            source.tolist(), fps.targets.tolist(), fps.seconds.tolist(), fps.km.tolist()
-        )
-    ]
-
-
 def _stops(points) -> dict[str, Stop]:
     return {f"S{k:03d}": Stop(f"S{k:03d}", "s", GeoPoint(lat, lon)) for k, (lat, lon) in enumerate(points)}
 
@@ -553,15 +558,27 @@ def _stop_sets(draw):
     return _stops(points)
 
 
+# Block sizes of the footpath build: one source a block, a few, and the
+# package's, which covers every drawn stop set in one block.
+_BLOCKS = st.sampled_from([1, 3, planner_module._FOOTPATH_BLOCK])
+
+
+def _build_in_blocks(block: int, *args) -> FootpathSet:
+    """``build_footpaths(*args)`` with ``block`` source stops per KD query."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner_module, "_FOOTPATH_BLOCK", block)
+        return build_footpaths(*args)
+
+
 @settings(deadline=None)
-@given(stops=_stop_sets(), cap=st.sampled_from([0.0, 0.4, 2.5]))
-@example(stops={}, cap=2.5)
+@given(stops=_stop_sets(), cap=st.sampled_from([0.0, 0.4, 2.5]), block=_BLOCKS)
+@example(stops={}, cap=2.5, block=1)
 # Two stops at one point (a zero-length link) and an isolated stop.
-@example(stops=_stops([(45.01, -122.29), (45.01, -122.29), (46.5, -119.5)]), cap=2.5)
-def test_footpaths_equal_the_tuple_sort_reference_bit_for_bit(stops, cap):
+@example(stops=_stops([(45.01, -122.29), (45.01, -122.29), (46.5, -119.5)]), cap=2.5, block=1)
+def test_footpaths_equal_the_tuple_sort_reference_bit_for_bit(stops, cap, block):
     t = Timetable(stops, {}, {}, {}, (), (), {})
     _assert_bit_identical(
-        build_footpaths(t, MODEL, max_walk_km=cap),
+        _build_in_blocks(block, t, MODEL, cap),
         reference_build_footpaths(t, MODEL, max_walk_km=cap),
     )
 
@@ -574,29 +591,58 @@ def _assert_bit_identical(got: FootpathSet, want: FootpathSet) -> None:
         assert a.tobytes() == b.tobytes(), name
 
 
+def _usable(links, first: dict[str, int], last: dict[str, int]) -> list:
+    """The links a→b some arrival can use, in plain Python: b's last
+    departure is no earlier than a's first arrival plus the walk."""
+    return [
+        l for l in links
+        if l[0] in first and l[1] in last and first[l[0]] + l[2] <= last[l[1]]
+    ]
+
+
+def _first_and_last(t: Timetable, allowed=None) -> tuple[dict[str, int], dict[str, int]]:
+    """Each stop's first hop arrival and last hop departure, over the
+    trips ``allowed`` passes (all without it)."""
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    for trip_id, sts in t.stoptimes.items():
+        if allowed is None or allowed(trip_id):
+            for a, b in zip(sts, sts[1:]):
+                first[b.stop_id] = min(first.get(b.stop_id, b.arrival), b.arrival)
+                last[a.stop_id] = max(last.get(a.stop_id, a.departure), a.departure)
+    return first, last
+
+
 @settings(deadline=None)
 @given(
     stops=_stop_sets(),
     cap=st.sampled_from([0.0, 0.4, 2.5]),
-    flags=st.lists(st.sampled_from(["", "a", "d", "ad"]), max_size=40),
+    times=st.lists(st.tuples(st.none() | st.integers(0, 900), st.none() | st.integers(0, 900)), max_size=40),
+    block=_BLOCKS,
 )
-# Co-located stops, some both arriving ("a", a source) and departing ("d",
-# a target): zero-length links both ways, and no link from a stop to itself.
+# Co-located stops: zero-length links both ways, usable exactly when the
+# departure is on the arrival, and no link from a stop to itself.
 @example(
     stops=_stops([(45.01, -122.29)] * 3 + [(45.011, -122.29), (46.5, -119.5)]),
     cap=2.5,
-    flags=["ad", "ad", "a", "d", "ad"],
+    times=[(100, 100), (100, 99), (None, 100), (0, None), (0, 900)],
+    block=1,
 )
-@example(stops=_stops([(45.01, -122.29)] * 2), cap=0.4, flags=["ad", "d"])
-def test_masked_footpaths_equal_the_restricted_full_set_bit_for_bit(stops, cap, flags):
+@example(stops=_stops([(45.01, -122.29)] * 2), cap=0.4, times=[(5, None), (None, 5)], block=1)
+def test_timed_footpaths_equal_the_reference_cut_by_the_rule_bit_for_bit(stops, cap, times, block):
+    """(first arrival, last departure) per stop, None where nothing
+    arrives or leaves; stops beyond the drawn times get (0, 900)."""
     t = Timetable(stops, {}, {}, {}, (), (), {})
-    # Stops beyond the drawn flags both arrive and depart.
-    flags = (flags + ["ad"] * len(stops))[: len(stops)]
-    sources = np.array(["a" in f for f in flags], dtype=bool)
-    targets = np.array(["d" in f for f in flags], dtype=bool)
-    got = build_footpaths(t, MODEL, cap, sources, targets)
-    _assert_bit_identical(got, build_footpaths(t, MODEL, cap).restricted(sources, targets))
-    _assert_bit_identical(got, reference_build_footpaths(t, MODEL, cap).restricted(sources, targets))
+    ids = sorted(stops)
+    times = (times + [(0, 900)] * len(ids))[: len(ids)]
+    first = {sid: a for sid, (a, _) in zip(ids, times) if a is not None}
+    last = {sid: d for sid, (_, d) in zip(ids, times) if d is not None}
+    first_arrival = np.array([np.inf if a is None else a for a, _ in times], dtype=np.float64)
+    last_departure = np.array([-np.inf if d is None else d for _, d in times], dtype=np.float64)
+    got = _build_in_blocks(block, t, MODEL, cap, first_arrival, last_departure)
+    reference = footpath_links(reference_build_footpaths(t, MODEL, cap))
+    _assert_bit_identical(got, footpaths_from_links(t, _usable(reference, first, last)))
+    _assert_bit_identical(got, build_footpaths(t, MODEL, cap).usable(first_arrival, last_departure))
     source = np.repeat(np.arange(len(stops)), np.diff(got.starts))
     assert not np.any(source == got.targets)
     zero = got.km == 0.0
@@ -634,11 +680,8 @@ def test_scan_order_equals_a_tuple_sort(feed_seed, copies):
     assert got == want
     assert all(type(v) is int for column in got for v in column)
 
-    arriving = np.zeros(len(index), dtype=bool)
-    arriving[want[5]] = True
-    departing = np.zeros(len(index), dtype=bool)
-    departing[want[4]] = True
-    _assert_bit_identical(planner.footpaths, build_footpaths(t, MODEL).restricted(arriving, departing))
+    usable = _usable(footpath_links(reference_build_footpaths(t, MODEL)), *_first_and_last(t))
+    _assert_bit_identical(planner.footpaths, footpaths_from_links(t, usable))
 
 
 _MODE_TRIPS = (
@@ -651,12 +694,10 @@ _MODE_TRIPS = (
 @settings(deadline=None, max_examples=60)
 @given(feed_seed=st.integers(0, 2**32 - 1))
 def test_planner_keeps_exactly_the_readable_footpaths(feed_seed):
+    """A footpaths argument is cut to the links some arrival can use."""
     t, links = random_feed(np.random.default_rng(feed_seed), MODEL)
-    arriving = {x.stop_id for sts in t.stoptimes.values() for x in sts[1:]}
-    departing = {x.stop_id for sts in t.stoptimes.values() for x in sts[:-1]}
     planner = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
-    want = sorted(l for l in links if l[0] in arriving and l[1] in departing)
-    assert _links(planner.footpaths) == want
+    assert footpath_links(planner.footpaths) == sorted(_usable(links, *_first_and_last(t)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -673,7 +714,7 @@ def test_every_mode_and_alternative_equals_the_oracle(feed_seed, query_seed):
         )
         # Each alternative is the earliest arrival without the trips banned so far.
         banned: set[str] = set()
-        for it in planner.plan(req):
+        for it in planner.iter_itineraries(req):
             if not it.ride_legs:
                 break
             assert it.arrive == oracle.earliest_arrival(
@@ -740,29 +781,38 @@ def _leg_bits(plans: list[Itinerary]) -> list[tuple]:
 def test_every_mode_and_alternative_equals_the_reference_scan_leg_for_leg(
     feed_seed, drivers, query_seed, transfer_s
 ):
+    """The reference scan relaxes every link from a stop a vehicle
+    arrives at to one a vehicle leaves; the planner keeps only the links
+    some arrival can use.  Dropping the others changes no itinerary."""
     t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
     assert all(origin_stop_id(100 + k) in t.stops for k in range(drivers))
     planner = Planner(t, MODEL, transfer_s=transfer_s)
-    reference = ReferencePlanner(t, MODEL, transfer_s=transfer_s)
+    unfiltered = arriving_to_departing(t, reference_build_footpaths(t, MODEL))
+    reference = ReferencePlanner(t, MODEL, transfer_s=transfer_s, footpaths=unfiltered)
+    assert set(footpath_links(planner.footpaths)) <= set(footpath_links(unfiltered))
     rng = np.random.default_rng(query_seed)
     for _ in range(3):
         org, dst = _near_stop(rng, t), _near_stop(rng, t)
         dep = _near_arrival(rng, t, -1200, 0)
         for mode in PlanMode:
             req = PlanRequest(org, dst, dep, mode=mode)
-            assert _leg_bits(planner.plan(req)) == _leg_bits(reference.plan(req))
+            got = list(planner.iter_itineraries(req))
+            assert _leg_bits(got) == _leg_bits(list(reference.iter_itineraries(req)))
 
 
 @settings(deadline=None, max_examples=60)
 @given(feed_seed=st.integers(0, 2**32 - 1), drivers=st.integers(0, 16))
 def test_each_mode_relaxes_exactly_the_links_to_stops_it_departs_from(feed_seed, drivers):
-    """Each mode's fans hold the planner's links whose target some trip
-    of the mode leaves.  A source's fan holds first the links to targets
-    the mode leaves once, keyed by walk seconds less that departure, then
-    the others, keyed by walk seconds; the keys ascend within each part."""
+    """Each mode's fans hold the links some arrival of the mode can use:
+    from a stop a trip of the mode reaches to one a trip of the mode
+    leaves, by the mode's last departure from there.  TRANSIT's are the
+    planner's footpaths.  A source's fan holds first the links to
+    targets the mode leaves once, keyed by walk seconds less that
+    departure, then the others, keyed by walk seconds; the keys ascend
+    within each part."""
     t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
     planner = Planner(t, MODEL)
-    links = _links(planner.footpaths)
+    links = footpath_links(reference_build_footpaths(t, MODEL))
     for mode, allowed in _MODE_TRIPS:
         departures: dict[str, list[int]] = {}
         for trip_id, sts in t.stoptimes.items():
@@ -784,7 +834,63 @@ def test_each_mode_relaxes_exactly_the_links_to_stops_it_departs_from(feed_seed,
                     assert (len(departures[target]) == 1) == once
                     assert key == (secs - departures[target][0] if once else secs)
                     got.append((sid, target, secs))
-        assert sorted(got) == [(a, b, secs) for a, b, secs, _ in links if b in departures]
+        usable = _usable(links, *_first_and_last(t, allowed))
+        assert sorted(got) == [(a, b, secs) for a, b, secs, _ in usable]
+        if mode is PlanMode.TRANSIT:
+            assert sorted(got) == [(a, b, secs) for a, b, secs, _ in footpath_links(planner.footpaths)]
+
+
+def _commute_feed(drivers: int) -> Timetable:
+    """Drivers as injected poollines, one hop each from ``DRIVER_origin_k``
+    to ``DRIVER_destination_k``, all stops at random in a 6 km square.
+    Every driver leaves between 7:00 and 7:15 and arrives from 7:30 on,
+    so a destination has hundreds of origins in walking range, and none
+    is left after anyone arrives."""
+    rng = np.random.default_rng(5)
+    stops, routes, trips, stoptimes = {}, {}, {}, {}
+    for k in range(drivers):
+        ends = (origin_stop_id(k), destination_stop_id(k))
+        for sid in ends:
+            lat = 45.0 + float(rng.uniform(0.0, 6.0 / 111.2))
+            lon = -122.3 + float(rng.uniform(0.0, 6.0 / 78.7))
+            stops[sid] = Stop(sid, sid, GeoPoint(lat, lon))
+        trip_id = pool_trip_id(k)
+        routes[f"R{k}"] = Route(f"R{k}", f"R{k}", 3)
+        trips[trip_id] = Trip(trip_id, f"R{k}", "POOLLINES")
+        leave = 7 * 3600 + int(rng.integers(0, 900))
+        arrive = 7 * 3600 + 1800 + int(rng.integers(0, 1800))
+        stoptimes[trip_id] = (
+            GtfsStopTime(trip_id, ends[0], leave, leave, 0),
+            GtfsStopTime(trip_id, ends[1], arrive, arrive, 1),
+        )
+    return Timetable(stops, routes, trips, stoptimes, (), (), {})
+
+
+def test_planner_build_peaks_below_the_unfiltered_links_alone():
+    """Traced by tracemalloc, building a planner on a commute feed takes
+    less memory at its peak than the arrays of the links from where a
+    vehicle arrives to where one leaves would, unfiltered: the build
+    holds the candidate pairs of one block of sources at a time, and
+    the links no arrival can use are never assembled."""
+    t = _commute_feed(1000)
+    full = build_footpaths(t, MODEL)
+    destination = np.array([s.startswith("DRIVER_destination_") for s in full.stop_ids])
+    source = np.repeat(np.arange(len(full.stop_ids)), np.diff(full.starts))
+    unfiltered = int(np.count_nonzero(destination[source] & ~destination[full.targets]))
+    # Targets, seconds and kilometres, eight bytes each, and the offsets.
+    unfiltered_bytes = 24 * unfiltered + 8 * (len(full.stop_ids) + 1)
+    del full, destination, source
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        planner = Planner(t, MODEL)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert unfiltered > 200_000
+    assert peak < unfiltered_bytes
+    assert len(planner.footpaths.targets) == 0
 
 
 @settings(deadline=None, max_examples=60)
@@ -806,7 +912,7 @@ def test_no_itinerary_arrives_after_the_direct_walk(feed_seed, drivers, query_se
         dep = _near_arrival(rng, t, -1200, 0)
         walk = dep + walk_seconds(org, dst, MODEL)
         for mode in PlanMode:
-            plans = planner.plan(PlanRequest(org, dst, dep, mode=mode))
+            plans = list(planner.iter_itineraries(PlanRequest(org, dst, dep, mode=mode)))
             assert plans
             assert all(it.arrive <= walk for it in plans)
 
@@ -891,8 +997,8 @@ def test_interleaved_requests_equal_a_fresh_planner_each():
         for name, mode in turns:
             req = PlanRequest(*riders[name], mode=mode)
             fresh = Planner(t, MODEL)
-            plans = shared.plan(req)
-            assert _leg_bits(plans) == _leg_bits(fresh.plan(req)), (feed_seed, name, mode)
+            plans = list(shared.iter_itineraries(req))
+            assert _leg_bits(plans) == _leg_bits(list(fresh.iter_itineraries(req))), (feed_seed, name, mode)
             assert _leg_bits([shared.earliest_arrival(req)]) == _leg_bits([fresh.earliest_arrival(req)])
             rides += bool(plans[0].ride_legs)
     assert rides >= 20
