@@ -220,6 +220,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     cfg.meeting_point_route_types = tuple(route_types)
     cfg.agents_path = raw.get("agents_path")
 
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, not {cfg.seed}")
+    if cfg.seat_capacity < 1:
+        raise ConfigError(f"seat_capacity must be >= 1, not {cfg.seat_capacity}")
     if cfg.tau < 0:
         raise ConfigError("tau must be non-negative")
     if cfg.num_itineraries < 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +26,16 @@ _NEAREST_BLOCK_CELLS = 1 << 16
 # re-ranked with the scalar haversine, so rounding differences between
 # numpy and math cannot change which stop wins.
 _NEAREST_REL_TOL = 1e-9
+
+# SeedSequence's hash and mix constants and PCG64's multiplier, as numpy
+# fixes them (NEP 19 keeps both streams stable across numpy versions).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
 
 
 class EmptyMeetingPointSet(Exception):
@@ -224,6 +234,115 @@ def _journey(
     )
 
 
+def _words(ints: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each int as SeedSequence assembles it: little-endian 32-bit words, 0 as one word.
+
+    Returns uint32 columns, column w holding every int's word w (0 past
+    its last), and each int's word count.  A negative int raises
+    ValueError, as numpy does; shifting alone would never end it, since
+    ``-1 >> 32`` is -1.
+    """
+    rest = np.array(ints, dtype=object)
+    if (rest < 0).any():
+        raise ValueError("expected non-negative integer")
+    columns = [(rest & _MASK32).astype(np.uint32)]
+    count = np.ones(len(rest), dtype=np.int64)
+    rest = rest >> 32
+    while rest.any():
+        count += rest != 0
+        columns.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+    return columns, count
+
+
+def _seed_words(entropy: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(e).generate_state(8)`` for each column ``e`` of ``entropy``.
+
+    ``entropy`` is uint32 of shape (words, agents).  The hash constants
+    evolve the same way whatever the data, so each step of numpy's
+    pool mixing is one uint32 operation over all columns.
+    """
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(entropy.shape[1], dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def agent_streams(prefix: Sequence[int], ids: Sequence[int]) -> Iterator[np.random.Generator]:
+    """Per id, a generator in the state ``np.random.default_rng([*prefix, id])`` starts in.
+
+    ``default_rng`` hashes its entropy with ``SeedSequence`` and seeds
+    ``PCG64`` from four of its uint64 words.  Here the hashing runs in
+    numpy over all ids of one entropy length, the ``PCG64`` seeding
+    (``pcg_setseq_128_srandom_r``) in Python ints, and each state is set
+    on one reused ``PCG64``, so the draws are numpy's own and equal the
+    per-agent generator's bit for bit.  The same generator object is
+    yielded every time: it is valid only until the next one is yielded.
+    A negative int raises ValueError here, as numpy does, before
+    anything is yielded.
+    """
+    columns, count = _words(prefix)
+    head = [columns[w][k] for k in range(len(prefix)) for w in range(count[k])]
+    columns, count = _words(ids)
+    states: list[tuple[int, int]] = [(0, 0)] * len(count)
+    for length in np.unique(count).tolist():
+        positions = np.flatnonzero(count == length)
+        entropy = np.empty((len(head) + length, len(positions)), dtype=np.uint32)
+        entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[len(head):] = [c[positions] for c in columns[:length]]
+        state = [w.astype(np.uint64) for w in _seed_words(entropy)]
+        high, low, inc_high, inc_low = (
+            (state[i] | state[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)
+        )
+        # pcg_setseq_128_srandom_r: inc = 2 * seq + 1, then two steps
+        # (state * mult + inc) around adding the initial state to 0.
+        for k, hi, lo, inc_hi, inc_lo in zip(positions.tolist(), high, low, inc_high, inc_low):
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            states[k] = (((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc)
+    return _set_each(states)
+
+
+def _set_each(states: list[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """One Generator, its PCG64 set to each (state, inc) in turn."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def compute_driver_journeys(
     drivers: list[Driver],
     points: MeetingPointSet,
@@ -234,14 +353,17 @@ def compute_driver_journeys(
 ) -> list[DriverJourney]:
     """Journeys for a batch of drivers, one independent stream per driver.
 
-    Each driver draws from ``default_rng([seed, driver_id])`` so results
-    do not depend on iteration order.  The nearest meeting points of all
-    origins and destinations are found in one :meth:`~MeetingPointSet.nearest_many`.
+    Each driver draws from the stream ``default_rng([seed, driver_id])``
+    starts, so results do not depend on iteration order; the streams of
+    the whole batch are seeded in one :func:`agent_streams`.  The nearest
+    meeting points of all origins and destinations are found in one
+    :meth:`~MeetingPointSet.nearest_many`.
     """
     near = points.nearest_many([d.origin for d in drivers] + [d.destination for d in drivers])
+    streams = agent_streams([seed], [d.driver_id for d in drivers])
     return [
-        _journey(d, o, e, model, tau, dwell_s, np.random.default_rng([seed, d.driver_id]))
-        for d, o, e in zip(drivers, near, near[len(drivers):])
+        _journey(d, o, e, model, tau, dwell_s, rng)
+        for d, o, e, rng in zip(drivers, near, near[len(drivers):], streams)
     ]
 
 

@@ -86,7 +86,10 @@ def outcome_records(outcomes: Iterable[RiderOutcome]) -> tuple[OutcomeRecord, ..
 def journey_records(
     report: SimulationReport, journeys: Mapping[int, DriverJourney]
 ) -> tuple[JourneyRecord, ...]:
-    """Per driver, in id order: lengths, the peak load over the full journey, voiding."""
+    """Per driver, in id order: lengths, the peak load over the full journey, voiding.
+
+    A driver nobody boards has a peak load of 0.
+    """
     boardings = _boardings_by_driver(report.outcomes, journeys)
     return tuple(
         JourneyRecord(
@@ -94,7 +97,7 @@ def journey_records(
             journeys[d].baseline_km,
             journeys[d].length_km,
             report.pruned_journeys[d].length_km,
-            max_onboard(journeys[d], boardings.get(d, [])),
+            max_onboard(journeys[d], boardings[d]) if d in boardings else 0,
             d in report.voided_drivers,
         )
         for d in sorted(journeys)

@@ -12,11 +12,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .drivers import Driver
+from .drivers import Driver, agent_streams
 from .geo import GeoPoint
 from .gtfs import CsvRows, format_coordinate, parse_gtfs_time
 from .matching import Rider
@@ -155,8 +155,11 @@ def sample_point(
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     """Sample drivers and riders per the config.
 
-    Each agent draws from its own ``default_rng([seed, tag, id])``
-    stream.  Drivers declare at the start of the simulation window.
+    Each agent draws from the stream ``default_rng([seed, tag, id])``
+    starts (tag 0 for drivers, 1 for riders), so an agent's draw does not
+    depend on how many others there are; the streams of each kind are
+    seeded in one :func:`~poollines.drivers.agent_streams`.  Drivers
+    declare at the start of the simulation window.
     """
     hours = cfg.sim_window.hours
     n_drivers = (
@@ -171,32 +174,26 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     )
     weights = _weights(cfg.rectangles)
 
-    drivers = []
-    for i in range(1, n_drivers + 1):
-        rng = np.random.default_rng([cfg.seed, 0, i])
-        origin = sample_point(cfg.rectangles, rng, weights)
-        destination = sample_point(cfg.rectangles, rng, weights)
-        departure = int(rng.integers(cfg.sim_window.start, cfg.sim_window.end))
-        drivers.append(
-            Driver(
-                driver_id=i,
-                origin=origin,
-                destination=destination,
-                departure_time=departure,
-                declaration_time=cfg.sim_window.start,
-                seat_capacity=cfg.seat_capacity,
-            )
+    def trips(tag: int, count: int) -> Iterator[tuple[int, GeoPoint, GeoPoint, int]]:
+        ids = range(1, count + 1)
+        for i, rng in zip(ids, agent_streams([cfg.seed, tag], ids)):
+            origin = sample_point(cfg.rectangles, rng, weights)
+            destination = sample_point(cfg.rectangles, rng, weights)
+            yield i, origin, destination, int(rng.integers(cfg.sim_window.start, cfg.sim_window.end))
+
+    drivers = tuple(
+        Driver(
+            driver_id=i,
+            origin=origin,
+            destination=destination,
+            departure_time=departure,
+            declaration_time=cfg.sim_window.start,
+            seat_capacity=cfg.seat_capacity,
         )
-
-    riders = []
-    for i in range(1, n_riders + 1):
-        rng = np.random.default_rng([cfg.seed, 1, i])
-        origin = sample_point(cfg.rectangles, rng, weights)
-        destination = sample_point(cfg.rectangles, rng, weights)
-        departure = int(rng.integers(cfg.sim_window.start, cfg.sim_window.end))
-        riders.append(Rider(i, origin, destination, departure))
-
-    return Scenario(cfg, tuple(drivers), tuple(riders))
+        for i, origin, destination, departure in trips(0, n_drivers)
+    )
+    riders = tuple(Rider(*trip) for trip in trips(1, n_riders))
+    return Scenario(cfg, drivers, riders)
 
 
 _AGENT_HEADER = ["kind", "id", "origin_lat", "origin_lon", "destination_lat", "destination_lon", "departure_s"]

@@ -9,7 +9,9 @@ footpath and vehicle labels apart, to pin full itineraries, tie-breaks
 included.  :class:`WholeTextTable` and :func:`reference_read_csv` are
 the CSV readers the package had before it streamed its files: each
 decodes a whole file at once and runs ``csv.reader`` over
-``io.StringIO`` of the text.
+``io.StringIO`` of the text.  :func:`reference_generate_scenario` and
+:func:`reference_driver_journeys` build one ``np.random.default_rng``
+per agent, which the package seeds in bulk instead.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
+from poollines.drivers import Driver, DriverJourney, MeetingPointSet, _journey
 from poollines.geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
@@ -49,9 +52,61 @@ from poollines.planner import (
     Planner,
     PlanRequest,
 )
-from poollines.scenario import ScenarioError
+from poollines.matching import Rider
+from poollines.scenario import (
+    Scenario,
+    ScenarioConfig,
+    ScenarioError,
+    _weights,
+    agent_count,
+    sample_point,
+)
 
 SPHERE_RADIUS_KM = 6371.0088
+
+
+def reference_generate_scenario(cfg: ScenarioConfig) -> Scenario:
+    """:func:`poollines.scenario.generate_scenario` with one
+    ``default_rng([seed, tag, id])`` built per agent (tag 0 for drivers,
+    1 for riders)."""
+    hours = cfg.sim_window.hours
+    area = cfg.effective_area_km2
+    counts = (
+        cfg.driver_count if cfg.driver_count is not None else agent_count(cfg.driver_density, area, hours),
+        cfg.rider_count if cfg.rider_count is not None else agent_count(cfg.rider_density, area, hours),
+    )
+    weights = _weights(cfg.rectangles)
+    agents: tuple[list, list] = ([], [])
+    for tag, count in enumerate(counts):
+        for i in range(1, count + 1):
+            rng = np.random.default_rng([cfg.seed, tag, i])
+            origin = sample_point(cfg.rectangles, rng, weights)
+            destination = sample_point(cfg.rectangles, rng, weights)
+            departure = int(rng.integers(cfg.sim_window.start, cfg.sim_window.end))
+            if tag == 0:
+                agents[0].append(
+                    Driver(i, origin, destination, departure, cfg.sim_window.start, cfg.seat_capacity)
+                )
+            else:
+                agents[1].append(Rider(i, origin, destination, departure))
+    return Scenario(cfg, tuple(agents[0]), tuple(agents[1]))
+
+
+def reference_driver_journeys(
+    drivers: list[Driver], points: MeetingPointSet, model: TravelModel,
+    tau: float, dwell_s: int, seed: int,
+) -> list[DriverJourney]:
+    """:func:`poollines.drivers.compute_driver_journeys` with one
+    ``default_rng([seed, driver_id])`` built per driver and the nearest
+    meeting points found by :func:`reference_nearest`."""
+    return [
+        _journey(
+            d, reference_nearest(points.stops, d.origin),
+            reference_nearest(points.stops, d.destination),
+            model, tau, dwell_s, np.random.default_rng([seed, d.driver_id]),
+        )
+        for d in drivers
+    ]
 
 
 def reference_haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -320,11 +320,18 @@ _SMALL_SCENARIO = {
         ({"scenario": {**_SMALL_SCENARIO, "driver_density": "1"}}, "scenario.driver_density"),
         ({"scenario": {**_SMALL_SCENARIO, "rider_density": False}}, "scenario.rider_density"),
         ({"scenario": {**_SMALL_SCENARIO, "area_km2": "400"}}, "scenario.area_km2"),
+        # Values numpy's seeding or a Driver would reject deep in the run.
+        ({"seed": -1}, "seed"),
+        ({"seat_capacity": 0}, "seat_capacity"),
+        # "flags" are extra command line arguments, not a config key.
+        ({"flags": ["--seed", "-1"]}, "seed"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, bad, key):
-    cfg = _write_config(tmp_path / "config.json", **{"seed": 7, "scenario": _SMALL_SCENARIO, **bad})
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    values = {k: v for k, v in bad.items() if k != "flags"}
+    cfg = _write_config(tmp_path / "config.json", **{"seed": 7, "scenario": _SMALL_SCENARIO, **values})
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), *bad.get("flags", [])]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert key in err

@@ -12,6 +12,7 @@ from poollines.drivers import (
     EmptyMeetingPointSet,
     JourneyStopTime,
     MeetingPointSet,
+    agent_streams,
     compute_driver_journeys,
     prune_journey,
     select_meeting_points,
@@ -19,7 +20,12 @@ from poollines.drivers import (
 from poollines.geo import GeoPoint, TravelModel
 from poollines.gtfs import GtfsStopTime, Route, Stop, Timetable, Trip
 
-from oracles import reference_nearest, reference_path_km, reference_road_km
+from oracles import (
+    reference_driver_journeys,
+    reference_nearest,
+    reference_path_km,
+    reference_road_km,
+)
 
 MODEL = TravelModel()
 
@@ -235,6 +241,82 @@ def test_batch_equals_one_journey_at_a_time():
         compute_driver_journeys([d], points, MODEL, seed=3)[0]
         for d in batch
     ]
+
+
+# ---- per-agent random streams -----------------------------------------
+
+# The simulation window's departure range: the integers draw of an agent.
+_SIM_START, _SIM_END = 37800, 41400
+
+
+@settings(deadline=None)
+@given(
+    prefix=st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=2),
+    ids=st.lists(
+        st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**40 - 1)), max_size=12
+    ),
+)
+@example(prefix=[1, 0], ids=[])
+@example(prefix=[0], ids=[0, 0, 1, 2**32 - 1, 2**32, 2**32 - 1])
+# A prefix of 2^64 and up, so one entropy holds more than the pool's four words.
+@example(prefix=[2**64, 2**69 + 5], ids=[3, 2**39 + 1, 7, 2**64])
+@example(prefix=[2**32, 1], ids=[2**64, 0, 2**64])
+def test_agent_streams_equal_one_default_rng_per_id(prefix, ids):
+    for i, rng in zip(ids, agent_streams(prefix, ids), strict=True):
+        ref = np.random.default_rng([*prefix, i])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+        assert rng.random(3).tolist() == ref.random(3).tolist()
+        assert rng.integers(_SIM_START, _SIM_END) == ref.integers(_SIM_START, _SIM_END)
+        assert rng.random() == ref.random()
+
+
+def test_agent_streams_accept_an_id_array_and_a_range():
+    ids = np.arange(5, 9)
+    expected = [np.random.default_rng([4, 1, i]).random() for i in ids.tolist()]
+    assert [rng.random() for rng in agent_streams([4, 1], ids)] == expected
+    assert [rng.random() for rng in agent_streams([4, 1], range(5, 9))] == expected
+
+
+@pytest.mark.parametrize(
+    "prefix, ids",
+    [([-1], [1]), ([1, -(2**40)], [1]), ([1], [3, -1]), ([1], np.array([2, -1]))],
+)
+def test_agent_streams_reject_a_negative_int(prefix, ids):
+    # A shift never ends the word split of a negative int (-1 >> 32 is -1).
+    with pytest.raises(ValueError, match="non-negative"):
+        agent_streams(prefix, ids)
+
+
+@st.composite
+def _driver_batches(draw):
+    """Up to 25 drivers with distinct ids in a 10 km box, some standing still,
+    and up to four meeting points in and around it."""
+    coords = st.tuples(st.floats(44.98, 45.07), st.floats(-122.32, -122.2))
+    ids = draw(st.lists(st.integers(0, 2**40), unique=True, max_size=25))
+    batch = []
+    for i in ids:
+        origin = GeoPoint(*draw(coords))
+        destination = origin if draw(st.booleans()) and draw(st.booleans()) else GeoPoint(*draw(coords))
+        batch.append(_driver(driver_id=i, origin=origin, destination=destination))
+    stops = draw(st.lists(coords, min_size=1, max_size=4))
+    points = MeetingPointSet(
+        tuple(Stop(f"M{k}", "m", GeoPoint(*c)) for k, c in enumerate(stops))
+    )
+    return batch, points
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    case=_driver_batches(),
+    tau=st.sampled_from([0.0, 0.15, 0.5]),
+    seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**70)),
+)
+def test_journeys_equal_one_default_rng_per_driver(case, tau, seed):
+    batch, points = case
+    assert compute_driver_journeys(batch, points, MODEL, tau, 45, seed) == reference_driver_journeys(
+        batch, points, MODEL, tau, 45, seed
+    )
 
 
 def test_meeting_points_come_from_rapid_transit_stops():
