@@ -10,6 +10,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 
 from .geo import TravelModel
@@ -48,7 +49,7 @@ class RunConfig:
     transfer_s: int = 60
     num_itineraries: int = 10
     seat_capacity: int = 4
-    workers: int = 0  # 0: one worker per CPU
+    workers: int = 0  # 0, when the config and flags set none: one worker per CPU
     capacity_enforcement: bool = True
     meeting_point_route_types: tuple[int, ...] = (1,)
     travel: TravelModel = field(default_factory=TravelModel)
@@ -112,9 +113,13 @@ def _scenario(raw: dict, seed: int, seat_capacity: int) -> ScenarioConfig:
         kwargs["stats_window"] = _window(raw["stats_window"], "scenario.stats_window")
     if raw.get("area_km2") is not None:
         kwargs["area_km2"] = _float(raw, "area_km2", None, "scenario.")
+        if kwargs["area_km2"] <= 0:
+            raise ConfigError(f"scenario.area_km2 must be positive, not {kwargs['area_km2']}")
     for key in ("driver_count", "rider_count"):
         if raw.get(key) is not None:
             kwargs[key] = _int(raw, key, None, "scenario.")
+            if kwargs[key] < 0:
+                raise ConfigError(f"scenario.{key} must be non-negative, not {kwargs[key]}")
     try:
         return ScenarioConfig(**kwargs)
     except ScenarioError as exc:
@@ -204,6 +209,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     cfg.output_dir = str(raw.get("output_dir", cfg.output_dir))
     cfg.seed = _int(raw, "seed", cfg.seed)
     cfg.service_date = str(raw.get("service_date", cfg.service_date))
+    try:
+        date.fromisoformat(cfg.service_date)
+    except ValueError as exc:
+        raise ConfigError(f"service_date {cfg.service_date!r} is not a date: {exc}") from None
     cfg.tau = _float(raw, "tau", cfg.tau)
     cfg.dwell_s = _int(raw, "dwell_s", cfg.dwell_s)
     cfg.max_walk_km = _float(raw, "max_walk_km", cfg.max_walk_km)
@@ -224,8 +233,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"seed must be non-negative, not {cfg.seed}")
     if cfg.seat_capacity < 1:
         raise ConfigError(f"seat_capacity must be >= 1, not {cfg.seat_capacity}")
+    if "workers" in raw and cfg.workers < 1:
+        raise ConfigError(f"workers must be >= 1, not {cfg.workers}")
     if cfg.tau < 0:
         raise ConfigError("tau must be non-negative")
+    if cfg.max_walk_km < 0:
+        raise ConfigError(f"max_walk_km must be non-negative, not {cfg.max_walk_km}")
     if cfg.num_itineraries < 1:
         raise ConfigError(f"num_itineraries must be >= 1, not {cfg.num_itineraries}")
     if cfg.dwell_s < 0 or cfg.transfer_s < 0:
@@ -237,6 +250,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
     cfg.travel = _sub(raw, "travel", TravelModel, {"drive_speed_kmh", "walk_speed_kmh", "circuity"})
     cfg.rules = _sub(raw, "rules", FeasibilityRules, {"max_wait_s", "max_walk_km", "walk_time_bound"})
+    for key in ("max_walk_km", "max_wait_s"):
+        if getattr(cfg.rules, key) < 0:
+            raise ConfigError(f"rules.{key} must be non-negative, not {getattr(cfg.rules, key)}")
     cfg.emissions = _sub(raw, "emissions", EmissionModel, {"grams_per_km"})
     if "scenario" in raw:
         if not isinstance(raw["scenario"], dict):

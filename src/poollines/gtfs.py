@@ -19,12 +19,15 @@ import csv
 import functools
 import io
 import math
+import operator
+import sys
 import zipfile
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .geo import GeoPoint
 
@@ -46,14 +49,28 @@ _SECOND_TEXTS = {f":{s:02d}": s for s in range(60)}
 def _minute_texts() -> dict[str, int]:
     """The minute of the service day of each "H:MM" and "HH:MM", hours below 48.
 
-    With ``_SECOND_TEXTS`` (":SS" to the second) it reads a stop time by
-    two lookups; any other text goes through parse_gtfs_time.  Built on
-    the first parse, so a process that reads no feed does not hold it.
+    Through :class:`_SecondInts`, and with ``_SECOND_TEXTS`` (":SS" to
+    the second), it reads a stop time by lookups; any other text goes
+    through parse_gtfs_time.  Built on the first parse, so a process
+    that reads no feed does not hold it.
     """
     return {
         **{f"{h}:{m:02d}": h * 60 + m for h in range(10) for m in range(60)},
         **{f"{h:02d}:{m:02d}": h * 60 + m for h in range(48) for m in range(60)},
     }
+
+
+class _SecondInts(dict):
+    """Minute text ("H:MM" or "HH:MM") to the 60 second-of-day ints of that
+    minute, each list made on first use; a text of no minute is a KeyError.
+
+    One per parse: stop times whose texts share a minute share int objects.
+    """
+
+    def __missing__(self, text: str) -> list[int]:
+        start = _minute_texts()[text] * 60
+        ints = self[text] = list(range(start, start + 60))
+        return ints
 
 
 class GtfsError(Exception):
@@ -103,8 +120,7 @@ class Trip:
     service_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class GtfsStopTime:
+class GtfsStopTime(NamedTuple):
     trip_id: str
     stop_id: str
     arrival: int
@@ -266,8 +282,10 @@ class CsvRows:
     splits lines at "\\n" only, as ``io.StringIO`` does: "\\r\\n" ends a
     row, a bare "\\r" outside quotes is unreadable, and a quoted cell may
     span lines.  Iterating yields each non-blank row with the physical
-    line it ends on.  ``header`` is the first row and ``columns`` maps
-    each stripped header name to its index (the last, if repeated).
+    line it ends on; ``reading()`` hands out the reader itself, for a
+    loop that needs the line of only a few rows.  ``header`` is the
+    first row and ``columns`` maps each stripped header name to its
+    index (the last, if repeated).
 
     ``fault(line, reason)`` builds the exception raised for a byte that
     is not UTF-8 and for text the CSV reader rejects, so each caller
@@ -299,11 +317,18 @@ class CsvRows:
         return self._fault(self._reader.line_num, f"unreadable CSV: {reason}")
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
-        reader = self._reader
-        try:
+        with self.reading() as reader:
             for row in reader:
                 if row:
                     yield reader.line_num, row
+
+    @contextmanager
+    def reading(self) -> Iterator[Iterator[list[str]]]:
+        """The CSV reader itself, for a loop that reads ``line_num`` only when
+        it needs it.  It yields blank lines as empty rows; text it rejects
+        inside the block raises ``fault`` at its line."""
+        try:
+            yield self._reader
         except csv.Error as exc:
             raise self._unreadable(exc) from None
 
@@ -423,37 +448,26 @@ def _parse_stoptimes(
 
     Each trip maps to its stoptimes in file order and an array of the
     lines they end on, which only a fault found later reads.  Every row
-    is checked, kept or not.  A row with known ids, times in [H]H:MM:SS
-    form and an integer sequence is read with dict and list lookups: ids
-    map to the feed's own strings, and every row at the same second of
-    the day gets the same int object.  Any other row goes through every
-    check in order, so a fault reports the same reason whichever row it
-    first appears on.  When the header lacks one of those columns, every
-    row takes the checked path, which reads the column as "".
+    is checked, kept or not, in one loop over the CSV reader.  The
+    trip_id cell is looked up once per run of consecutive rows that
+    share it, which gives the trip, whether the service date keeps it,
+    and its group.  A row with a known stop, times in [H]H:MM:SS form
+    and an integer sequence is read with dict and list lookups: ids map
+    to the feed's own strings, and times sharing a minute text share int
+    objects.  Any row those lookups do not resolve goes through every
+    check in order, so a fault reports the same reason at the same line
+    whichever row it first appears on, in a trip that runs or not.  A
+    column the header lacks gets an index no row reaches, so every row
+    takes the checked path, which reads the column as "".
     """
     with _Table(source, "stop_times.txt", required=True) as table:
         keys = ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
-        complete = all(key in table.columns for key in keys)
-        columns = [table.columns.get(key, 0) for key in keys]
-        i_trip, i_stop, i_arr, i_dep, i_seq = columns
-        width = max(columns) + 1
+        pick = operator.itemgetter(*(table.columns.get(key, sys.maxsize) for key in keys))
         trip_ids = {k: k for k in known_trips}
         stop_ids = {k: k for k in stops}
-        minute_texts = _minute_texts()
-        by_minute: list[list[int | None] | None] = [None] * (48 * 60)
-
-        def clock(text: str) -> int | None:
-            minute = minute_texts.get(text[:-3])
-            second = _SECOND_TEXTS.get(text[-3:])
-            if minute is None or second is None:
-                return None
-            ints = by_minute[minute]
-            if ints is None:
-                ints = by_minute[minute] = [None] * 60
-            value = ints[second]
-            if value is None:
-                value = ints[second] = minute * 60 + second
-            return value
+        clock = _SecondInts()
+        seconds = _SECOND_TEXTS
+        new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
 
         def checked(row: list[str], line: int) -> tuple[str, str, int, int, int]:
             trip_id = table.need(row, "trip_id", line)
@@ -471,56 +485,70 @@ def _parse_stoptimes(
             return trip_ids[trip_id], stop_ids[stop_id], arrival, departure, sequence
 
         grouped: dict[str, tuple[list[GtfsStopTime], array]] = {}
-        for line, row in table:
-            if complete:
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                trip_id = trip_ids.get(row[i_trip])
-                stop_id = stop_ids.get(row[i_stop])
-                arrival = clock(row[i_arr])
-                departure = clock(row[i_dep])
-                try:
-                    sequence = int(row[i_seq])  # int() ignores the padding strip() would remove
-                except ValueError:
-                    sequence = None
-            if not complete or None in (trip_id, stop_id, arrival, departure, sequence):
-                trip_id, stop_id, arrival, departure, sequence = checked(row, line)
-            if departure < arrival:
-                raise MalformedRow("stop_times.txt", line, "departure before arrival")
+
+        def group_of(trip_id: str) -> tuple[list[GtfsStopTime], array] | None:
             if trip_id not in kept_trips:
-                continue  # trip filtered out by the service date
+                return None  # trip filtered out by the service date
             group = grouped.get(trip_id)
             if group is None:
                 group = grouped[trip_id] = ([], array("Q"))
-            group[0].append(GtfsStopTime(trip_id, stop_id, arrival, departure, sequence))
-            group[1].append(line)
+            return group
+
+        run_text = run_trip = run_group = None  # the current run of one trip_id cell
+        with table.reading() as reader:
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    trip_text, stop_text, arrival_text, departure_text, sequence_text = pick(row)
+                    if trip_text != run_text:
+                        run_trip = trip_ids[trip_text]
+                        run_group = group_of(run_trip)
+                        run_text = trip_text
+                    trip_id, group = run_trip, run_group
+                    stop_id = stop_ids[stop_text]
+                    arrival = clock[arrival_text[:-3]][seconds[arrival_text[-3:]]]
+                    departure = clock[departure_text[:-3]][seconds[departure_text[-3:]]]
+                    sequence = int(sequence_text)  # int() ignores the padding strip() would remove
+                except (IndexError, KeyError, ValueError):
+                    trip_id, stop_id, arrival, departure, sequence = checked(row, reader.line_num)
+                    group = group_of(trip_id)
+                if departure < arrival:
+                    raise MalformedRow("stop_times.txt", reader.line_num, "departure before arrival")
+                if group is not None:
+                    group[0].append(new(GtfsStopTime, (trip_id, stop_id, arrival, departure, sequence)))
+                    group[1].append(reader.line_num)
     return grouped
 
 
 def _order_stoptimes(
     grouped: dict[str, tuple[list[GtfsStopTime], array]]
 ) -> dict[str, tuple[GtfsStopTime, ...]]:
-    """Each trip's stoptimes by stop_sequence; empties ``grouped`` as it goes."""
+    """Each trip's stoptimes by stop_sequence; empties ``grouped`` as it goes.
+
+    A trip whose rows are already in order keeps them without a sort.
+    """
     ordered: dict[str, tuple[GtfsStopTime, ...]] = {}
     for trip_id in sorted(grouped):
         rows, lines = grouped.pop(trip_id)
-        order = sorted(range(len(rows)), key=lambda i: rows[i].stop_sequence)
-        previous: GtfsStopTime | None = None
-        for i in order:
-            st = rows[i]
-            if previous is not None:
-                if st.stop_sequence == previous.stop_sequence:
-                    raise MalformedRow(
-                        "stop_times.txt", lines[i],
-                        f"duplicate stop_sequence {st.stop_sequence} in trip {trip_id!r}",
-                    )
-                if st.arrival < previous.departure:
-                    raise MalformedRow(
-                        "stop_times.txt", lines[i],
-                        f"arrival goes backwards in trip {trip_id!r}",
-                    )
-            previous = st
-        ordered[trip_id] = tuple(rows[i] for i in order)
+        sequences = [st.stop_sequence for st in rows]
+        if any(map(operator.gt, sequences, sequences[1:])):
+            order = sorted(range(len(rows)), key=sequences.__getitem__)
+            rows = [rows[i] for i in order]
+            lines = [lines[i] for i in order]
+        for i in range(1, len(rows)):
+            st, previous = rows[i], rows[i - 1]
+            if st.stop_sequence == previous.stop_sequence:
+                raise MalformedRow(
+                    "stop_times.txt", lines[i],
+                    f"duplicate stop_sequence {st.stop_sequence} in trip {trip_id!r}",
+                )
+            if st.arrival < previous.departure:
+                raise MalformedRow(
+                    "stop_times.txt", lines[i],
+                    f"arrival goes backwards in trip {trip_id!r}",
+                )
+        ordered[trip_id] = tuple(rows)
     return ordered
 
 

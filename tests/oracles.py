@@ -9,7 +9,9 @@ footpath and vehicle labels apart, to pin full itineraries, tie-breaks
 included.  :class:`WholeTextTable` and :func:`reference_read_csv` are
 the CSV readers the package had before it streamed its files: each
 decodes a whole file at once and runs ``csv.reader`` over
-``io.StringIO`` of the text.  :func:`reference_generate_scenario` and
+``io.StringIO`` of the text.  :func:`reference_parse_stoptimes` checks
+every stop_times.txt row field by field, where the package resolves
+most rows by lookups.  :func:`reference_generate_scenario` and
 :func:`reference_driver_journeys` build one ``np.random.default_rng``
 per agent, which the package seeds in bulk instead.
 """
@@ -18,12 +20,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from poollines import gtfs
 from poollines.drivers import Driver, DriverJourney, MeetingPointSet, _journey
 from poollines.geo import (
     EARTH_RADIUS_KM,
@@ -34,6 +38,7 @@ from poollines.geo import (
 )
 from poollines.gtfs import (
     CalendarRow,
+    DanglingReference,
     GtfsStopTime,
     MalformedRow,
     MissingFile,
@@ -41,6 +46,7 @@ from poollines.gtfs import (
     Stop,
     Timetable,
     Trip,
+    parse_gtfs_time,
 )
 from poollines.injection import pool_trip_id
 from poollines.planner import (
@@ -771,6 +777,38 @@ class WholeTextTable:
 
     def __exit__(self, *exc_info) -> None:
         pass
+
+
+def reference_parse_stoptimes(source, stops: dict, known_trips: dict, kept_trips: dict) -> dict:
+    """``gtfs._parse_stoptimes`` with every row checked field by field: a reference.
+
+    Each row's trip, stop, times and sequence are read by ``need``,
+    stripped, and checked in that order, then departure against arrival;
+    rows of trips not in ``kept_trips`` are dropped after their checks.
+    The table is read by ``gtfs._Table``, so a test can swap the reader.
+    """
+    grouped: dict = {}
+    with gtfs._Table(source, "stop_times.txt", required=True) as table:
+        for line, row in table:
+            trip_id = table.need(row, "trip_id", line)
+            if trip_id not in known_trips:
+                raise DanglingReference("stop_times.txt", line, trip_id)
+            stop_id = table.need(row, "stop_id", line)
+            if stop_id not in stops:
+                raise DanglingReference("stop_times.txt", line, stop_id)
+            try:
+                arrival = parse_gtfs_time(table.need(row, "arrival_time", line))
+                departure = parse_gtfs_time(table.need(row, "departure_time", line))
+                sequence = int(table.need(row, "stop_sequence", line))
+            except ValueError as exc:
+                raise MalformedRow("stop_times.txt", line, str(exc)) from None
+            if departure < arrival:
+                raise MalformedRow("stop_times.txt", line, "departure before arrival")
+            if trip_id in kept_trips:
+                rows, lines = grouped.setdefault(trip_id, ([], array("Q")))
+                rows.append(GtfsStopTime(trip_id, stop_id, arrival, departure, sequence))
+                lines.append(line)
+    return grouped
 
 
 def reference_read_csv(path: str | Path, header: list[str], parse: Callable[[list[str]], object]) -> tuple:

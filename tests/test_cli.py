@@ -325,6 +325,16 @@ _SMALL_SCENARIO = {
         ({"seat_capacity": 0}, "seat_capacity"),
         # "flags" are extra command line arguments, not a config key.
         ({"flags": ["--seed", "-1"]}, "seed"),
+        # Values out of range, which ran to exit 0 on wrong numbers.
+        ({"workers": 0}, "workers"),
+        ({"flags": ["--workers", "0"]}, "workers"),
+        ({"max_walk_km": -1}, "max_walk_km"),
+        ({"rules": {"max_walk_km": -0.5}}, "rules.max_walk_km"),
+        ({"rules": {"max_wait_s": -1}}, "rules.max_wait_s"),
+        ({"scenario": {**_SMALL_SCENARIO, "driver_count": -1}}, "scenario.driver_count"),
+        ({"scenario": {**_SMALL_SCENARIO, "rider_count": -3}}, "scenario.rider_count"),
+        ({"scenario": {**_SMALL_SCENARIO, "area_km2": 0}}, "scenario.area_km2"),
+        ({"scenario": {**_SMALL_SCENARIO, "area_km2": -400.0}}, "scenario.area_km2"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, bad, key):
@@ -336,6 +346,24 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, bad, key):
     assert err.startswith("config error:")
     assert key in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("service_date", ["2022-13-40", "2022-02-30", "July 20", ""])
+def test_malformed_service_date_is_a_config_error(tmp_path, capsys, service_date):
+    # "2022-13-40" ended in a ValueError traceback from the feed's calendar.
+    cfg = _write_config(tmp_path / "config.json", service_date=service_date)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: service_date {service_date!r} is not a date: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_zero_agent_counts_are_legal(tmp_path, capsys):
+    scenario = {**_SMALL_SCENARIO, "driver_count": 0, "rider_count": 0}
+    cfg = _write_config(tmp_path / "config.json", scenario=scenario)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "agents.csv")]) == 0
+    assert "0 drivers and 0 riders" in capsys.readouterr().out
 
 
 def test_commands_needing_a_scenario_fail_without_one(tmp_path, capsys):

@@ -5,7 +5,9 @@ the run tables a block at a time.  The references in ``oracles`` decode
 a whole file at once and run ``csv.reader`` over ``io.StringIO``.  On
 any file both give the same rows on the same lines, or the same first
 error; the streaming reader also keeps no copy of the file and leaves
-no file open.
+no file open.  ``parse_gtfs`` is compared with a parse on the
+whole-text reader that checks each stop_times.txt row field by field,
+with and without a service date that drops trips.
 """
 import builtins
 import gc
@@ -25,6 +27,8 @@ from hypothesis import strategies as st
 from poollines import gtfs
 from poollines.geo import GeoPoint
 from poollines.gtfs import (
+    CalendarRow,
+    DanglingReference,
     GtfsError,
     GtfsStopTime,
     MalformedRow,
@@ -37,7 +41,7 @@ from poollines.gtfs import (
 )
 from poollines.scenario import ScenarioError, read_csv
 
-from oracles import WholeTextTable, reference_read_csv
+from oracles import WholeTextTable, reference_parse_stoptimes, reference_read_csv
 from test_gtfs import _ST_HEADER, _ST_ROWS, _tiny_timetable
 
 _CHECK = gtfs._CHECK_BYTES  # the block size of the streaming reader's UTF-8 check
@@ -82,9 +86,13 @@ _ST_LINES = st.sampled_from(
         "X1,08:03:20,08:02:00,B,1",
         "X1,08:10:00,08:10:00,A,2",
         'X1,08:08:20,08:08:20,C,2,"two\nlines"',
+        # Rows of a second trip, which runs on other days than X1.
+        *(row.replace("X1", "W1") for row in _ST_ROWS),
+        "W1,08:03:20,08:04:20,NOWHERE,1",
+        "W1,08:03:20,08:02:00,B,1",
     ]
 )
-_ST_CELLS = st.sampled_from(["X1", "A", "B", "C", "08:00:00", "08:03:20", "8:04:20", "0", "1", "2", "1.5", ""])
+_ST_CELLS = st.sampled_from(["X1", "W1", "A", "B", "C", "08:00:00", "08:03:20", "8:04:20", "0", "1", "2", "1.5", ""])
 _ST_FILES = st.sampled_from(
     [
         _ST_HEADER,
@@ -104,10 +112,22 @@ _AGENT_FILES = st.sampled_from(["a,b,c", " c , a,b", "a,b", "a,b,c,a", ""]).flat
 # ---- helpers -----------------------------------------------------------
 
 
-def _feed_dir(directory: Path, stop_times: bytes) -> Path:
-    write_gtfs(_tiny_timetable(), directory)
+def _feed_dir(directory: Path, stop_times: bytes, timetable: Timetable | None = None) -> Path:
+    write_gtfs(timetable or _tiny_timetable(), directory)
     (directory / "stop_times.txt").write_bytes(stop_times)
     return directory
+
+
+def _two_service_timetable() -> Timetable:
+    """The tiny feed plus trip W1, whose service runs on weekends only:
+    2022-07-20 keeps X1 and drops W1, 2022-07-23 the other way round."""
+    t = _tiny_timetable()
+    trips = {**t.trips, "W1": Trip("W1", "R1", "WEEKENDS")}
+    calendar = t.calendar + (CalendarRow("WEEKENDS", (0, 0, 0, 0, 0, 1, 1), 20220101, 20221231),)
+    return Timetable(t.stops, t.routes, trips, t.stoptimes, calendar, (), {})
+
+
+_SERVICE_DATES = (None, "2022-07-20", "2022-07-23")
 
 
 def _zipped(feed: Path, archive: Path) -> Path:
@@ -141,8 +161,10 @@ def _outcome(call):
 
 
 def _reference_parse(path, service_date=None):
-    """parse_gtfs as it ran on the whole-text table reader."""
-    with mock.patch.object(gtfs, "_Table", WholeTextTable):
+    """parse_gtfs on the whole-text table reader, each stop_times.txt row
+    checked field by field."""
+    with mock.patch.object(gtfs, "_Table", WholeTextTable), \
+            mock.patch.object(gtfs, "_parse_stoptimes", reference_parse_stoptimes):
         return parse_gtfs(path, service_date)
 
 
@@ -173,6 +195,13 @@ def test_feed_parses_like_it_did_on_the_whole_text_reader(raw):
         expected = _outcome(lambda: _reference_parse(feed))
         assert _outcome(lambda: parse_gtfs(feed)) == expected
         assert _outcome(lambda: parse_gtfs(_zipped(feed, Path(tmp) / "feed.zip"))) == expected
+        # Every row is checked, also in trips the service date drops.
+        feed = _feed_dir(Path(tmp) / "two", raw, _two_service_timetable())
+        archive = _zipped(feed, Path(tmp) / "two.zip")
+        for service_date in _SERVICE_DATES:
+            expected = _outcome(lambda: _reference_parse(feed, service_date))
+            assert _outcome(lambda: parse_gtfs(feed, service_date)) == expected
+            assert _outcome(lambda: parse_gtfs(archive, service_date)) == expected
 
 
 @settings(max_examples=300)
@@ -268,6 +297,34 @@ def test_zip_feed_faults_name_file_and_line(tmp_path, raw, message):
     with pytest.raises(GtfsError) as err:
         parse_gtfs(archive)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, fault",
+    [
+        (None, None),
+        ("W1,08:03:20,08:04:20,NOWHERE,1", (DanglingReference, "reference to unknown id 'NOWHERE'")),
+        ("W1,08:03:20,08:61:00,B,1", (MalformedRow, "bad GTFS time: '08:61:00'")),
+        ("W1,08:03:20,08:02:00,B,1", (MalformedRow, "departure before arrival")),
+        ("W1,08:03:20,08:04:20", (MalformedRow, "missing value for 'stop_id'")),
+        ("W1,08:03:20,08:04:20,B,1.5", (MalformedRow, "invalid literal for int() with base 10: '1.5'")),
+    ],
+    ids=["no-fault", "unknown-stop", "bad-time", "departure-before-arrival", "short-row", "sequence"],
+)
+def test_fault_in_a_trip_that_does_not_run_names_its_line(tmp_path, row, fault):
+    # Line 3 is W1's fault, or its valid row; the kept rows of X1 have padded cells.
+    rows = [" X1 , 08:00:00 ,08:00:00, A ,0", row or "W1,08:00:00,08:00:00,A,0",
+            "W1,08:03:20,08:04:20,B,1", "X1,8:03:20,08:04:20 , B , 1", _ST_ROWS[2]]
+    raw = ("\n".join([_ST_HEADER, *rows]) + "\n").encode()
+    feed = _feed_dir(tmp_path / "feed", raw, _two_service_timetable())
+    for service_date in _SERVICE_DATES:
+        got = _outcome(lambda: parse_gtfs(feed, service_date))
+        assert got == _outcome(lambda: _reference_parse(feed, service_date))
+        if fault is not None:
+            assert got == (fault[0], f"stop_times.txt:3: {fault[1]}")
+        elif service_date == "2022-07-20":
+            assert got.stoptimes == _tiny_timetable().stoptimes
+            assert list(got.trips) == ["X1"]
 
 
 # ---- no copy of the file, no file left open ------------------------------

@@ -124,6 +124,18 @@ def test_format_coordinate_equals_the_search_over_precisions(value):
     assert format_coordinate(value) == _format_coordinate_by_search(value)
 
 
+def test_stop_time_is_an_immutable_hashable_record():
+    st = GtfsStopTime("X1", "A", 28800, 28860, 0)
+    with pytest.raises(AttributeError):
+        st.arrival = 0
+    assert st.arrival == 28800
+    same = GtfsStopTime("".join(["X", "1"]), "A", 28800, 28860, 0)
+    assert same == st and same.trip_id is not st.trip_id
+    assert hash(same) == hash(st)
+    assert len({st, same, GtfsStopTime("X1", "A", 28800, 28860, 1)}) == 2
+    assert GtfsStopTime._fields == ("trip_id", "stop_id", "arrival", "departure", "stop_sequence")
+
+
 # ---- round trips ----------------------------------------------------
 
 
