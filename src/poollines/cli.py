@@ -114,6 +114,9 @@ def cmd_simulate(cfg: RunConfig, agents: str | None, out: str | None, variant: s
     outdir = Path(out) if out else Path(cfg.output_dir)
     summary = write_outputs(outdir, scenario, result)
     for v, figures in summary["variants"].items():
+        if not figures["riders_in_stats_window"]:
+            print(f"{v}: no riders in the stats window")
+            continue
         unserved = figures["modal_split_pct"]["unserved"]
         print(f"{v}: unserved {unserved:.1f}% of stats-window riders")
     if summary["vkt_saved_km"] is not None:

@@ -1,7 +1,11 @@
 """Run configuration: one JSON file, selectively overridable from flags.
 
 Every tunable the pipeline uses is a key here; command line flags only
-override, never extend.  Unknown keys are rejected so typos fail fast.
+override, never extend.  The dataclasses hold the keys and their
+defaults: ``RunConfig`` the top level, and the class of each nested
+object its block.  ``SCHEMA`` gives each dotted key its JSON kind and
+domain.  An unknown key, a value of the wrong kind and one outside its
+domain are each a :class:`ConfigError` that names the dotted key.
 """
 from __future__ import annotations
 
@@ -12,8 +16,10 @@ import os
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .geo import TravelModel
+from .gtfs import format_gtfs_time
 from .matching import FeasibilityRules
 from .scenario import Rectangle, ScenarioConfig, ScenarioError, Window
 from .simulation import EmissionModel
@@ -21,19 +27,6 @@ from .simulation import EmissionModel
 
 class ConfigError(Exception):
     pass
-
-
-_TOP_KEYS = {
-    "gtfs_path", "synthetic_city", "output_dir", "seed", "service_date",
-    "tau", "dwell_s", "max_walk_km", "transfer_s", "num_itineraries",
-    "seat_capacity", "workers", "capacity_enforcement",
-    "meeting_point_route_types", "travel", "rules", "emissions",
-    "scenario", "agents_path",
-}
-_SCENARIO_KEYS = {
-    "rectangles", "driver_density", "rider_density", "area_km2",
-    "sim_window", "stats_window", "driver_count", "rider_count",
-}
 
 
 @dataclass
@@ -64,125 +57,174 @@ class RunConfig:
         return os.cpu_count() or 1
 
 
-def _window(value, key: str) -> Window:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{key} must be a [start, end] pair of HH:MM:SS strings")
-    try:
-        return Window.from_texts(value[0], value[1])
-    except (ValueError, ScenarioError) as exc:
-        raise ConfigError(f"bad {key}: {exc}") from None
-
-
-def _rectangles(value) -> tuple[Rectangle, ...]:
-    if value == "city":
-        from .synthetic import city_rectangles
-
-        return city_rectangles()
-    if not isinstance(value, list) or not value:
-        raise ConfigError("scenario.rectangles must be \"city\" or a non-empty list")
-    out = []
-    for i, item in enumerate(value):
-        if not isinstance(item, list) or len(item) not in (4, 5):
-            raise ConfigError(
-                f"rectangle {i} must be [lat_min, lat_max, lon_min, lon_max] "
-                "with an optional weight"
-            )
-        try:
-            out.append(Rectangle(*[float(x) for x in item]))
-        except (TypeError, ValueError, ScenarioError) as exc:
-            raise ConfigError(f"bad rectangle {i}: {exc}") from None
-    return tuple(out)
-
-
-def _scenario(raw: dict, seed: int, seat_capacity: int) -> ScenarioConfig:
-    unknown = set(raw) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-    if "rectangles" not in raw:
-        raise ConfigError("scenario.rectangles is required")
-    kwargs = {
-        "rectangles": _rectangles(raw["rectangles"]),
-        "driver_density": _float(raw, "driver_density", 0.0, "scenario."),
-        "rider_density": _float(raw, "rider_density", 0.0, "scenario."),
-        "seed": seed,
-        "seat_capacity": seat_capacity,
-    }
-    if "sim_window" in raw:
-        kwargs["sim_window"] = _window(raw["sim_window"], "scenario.sim_window")
-    if "stats_window" in raw:
-        kwargs["stats_window"] = _window(raw["stats_window"], "scenario.stats_window")
-    if raw.get("area_km2") is not None:
-        kwargs["area_km2"] = _float(raw, "area_km2", None, "scenario.")
-        if kwargs["area_km2"] <= 0:
-            raise ConfigError(f"scenario.area_km2 must be positive, not {kwargs['area_km2']}")
-    for key in ("driver_count", "rider_count"):
-        if raw.get(key) is not None:
-            kwargs[key] = _int(raw, key, None, "scenario.")
-            if kwargs[key] < 0:
-                raise ConfigError(f"scenario.{key} must be non-negative, not {kwargs[key]}")
-    try:
-        return ScenarioConfig(**kwargs)
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _bool(raw: dict, key: str, default: bool) -> bool:
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, not {value!r}")
-    return value
-
-
 def _is_int(value) -> bool:
     """A JSON integer: ``2.0``, ``true`` and ``"2"`` are not."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number: booleans and strings are not."""
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    )
-
-
-def _int(raw: dict, key: str, default, prefix: str = "") -> int:
-    value = raw.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"{prefix}{key} must be an integer, not {value!r}")
+def _bounded(value, lo, hi):
+    if not lo <= value <= hi:  # before any float(): a huge int still compares
+        raise ValueError(f"must be in [{lo}, {hi}], not {value!r}")
     return value
 
 
-def _float(raw: dict, key: str, default, prefix: str = "") -> float:
-    value = raw.get(key, default)
-    if not _is_number(value):
-        raise ConfigError(f"{prefix}{key} must be a finite number, not {value!r}")
-    return float(value)
+# Each kind reads a JSON value, checks it against the domain [lo, hi] and
+# returns the Python value, or raises ValueError with the message's tail.
+
+def _integer(value, lo, hi) -> int:
+    if not _is_int(value):
+        raise ValueError(f"must be an integer, not {value!r}")
+    return _bounded(value, lo, hi)
 
 
-def _sub(raw: dict, key: str, cls, allowed: set[str]):
-    """An object block built into ``cls``.
+def _number(value, lo, hi) -> float:
+    """A finite JSON number: booleans, strings and NaN are not."""
+    if not (_is_int(value) or isinstance(value, float) and math.isfinite(value)):
+        raise ValueError(f"must be a finite number, not {value!r}")
+    return float(_bounded(value, lo, hi))
 
-    A value must have its default's JSON type: a boolean for a flag, a
-    finite number otherwise, so ``"false"`` or ``"abc"`` fail here and
-    not deep in the run.
-    """
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object")
-    unknown = set(value) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
-    for f in dataclasses.fields(cls):
-        v = value.get(f.name, f.default)
-        if isinstance(f.default, bool):
-            if not isinstance(v, bool):
-                raise ConfigError(f"{key}.{f.name} must be true or false, not {v!r}")
-        elif not _is_number(v):
-            raise ConfigError(f"{key}.{f.name} must be a finite number, not {v!r}")
+
+def _flag(value, lo, hi) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, not {value!r}")
+    return value
+
+
+def _path(value, lo, hi) -> str:
+    if not (isinstance(value, str) and value and "\0" not in value):
+        raise ValueError(f"must be a non-empty path string, not {value!r}")
+    return value
+
+
+def _date(value, lo, hi) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a YYYY-MM-DD string, not {value!r}")
     try:
-        return cls(**value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key}: {exc}") from None
+        date.fromisoformat(value)
+    except ValueError as exc:
+        raise ValueError(f"{value!r} is not a date: {exc}") from None
+    return value
+
+
+def _window(value, lo, hi) -> Window:
+    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(t, str) for t in value)):
+        raise ValueError(f"must be a [start, end] pair of HH:MM:SS strings, not {value!r}")
+    try:
+        window = Window.from_texts(*value)
+    except (ValueError, ScenarioError) as exc:
+        raise ValueError(f"is not a window: {exc}") from None
+    if window.start < lo or window.end > hi:
+        raise ValueError(f"must lie within {format_gtfs_time(lo)}-{format_gtfs_time(hi)}, not {value!r}")
+    return window
+
+
+def _integers(value, lo, hi) -> tuple[int, ...]:
+    if not (isinstance(value, list) and value and all(map(_is_int, value))):
+        raise ValueError(f"must be a non-empty list of integers, not {value!r}")
+    return tuple(_bounded(x, lo, hi) for x in value)
+
+
+def _rectangles(value, lo, hi) -> tuple[Rectangle, ...]:
+    """"city", or a list of [lat_min, lat_max, lon_min, lon_max] in WGS84
+    degrees, each with an optional weight in [lo, hi]."""
+    if value == "city":
+        from .synthetic import city_rectangles
+
+        return city_rectangles()
+    if not (isinstance(value, list) and value):
+        raise ValueError(f'must be "city" or a non-empty list of rectangles, not {value!r}')
+    bounds = ((-90, 90), (-90, 90), (-180, 180), (-180, 180), (lo, hi))
+    out = []
+    for i, r in enumerate(value):
+        try:
+            if not (isinstance(r, list) and len(r) in (4, 5)):
+                raise ValueError("must be [lat_min, lat_max, lon_min, lon_max] with an optional weight")
+            out.append(Rectangle(*(_number(x, *b) for x, b in zip(r, bounds))))
+        except (ValueError, ScenarioError) as exc:
+            raise ValueError(f"rectangle {i}: {exc}") from None
+    return tuple(out)
+
+
+class Key(NamedTuple):
+    """A key's kind (a reader above, or the dataclass of a nested object) and domain."""
+
+    kind: Callable | type
+    lo: float = 0
+    hi: float = 0
+
+
+_DAY_S = 86_400
+_MAX_AGENTS = 1_000_000
+
+# Every key, by dotted path.  The bounds keep what the run derives from a
+# value in range: seconds in int32 fan keys and int64 arrays, agent ids
+# numpy can seed, worker processes the machine can start.
+SCHEMA: dict[str, Key] = {
+    "gtfs_path": Key(_path),
+    "synthetic_city": Key(_flag),
+    "output_dir": Key(_path),
+    "seed": Key(_integer, 0, 2**64 - 1),
+    "service_date": Key(_date),
+    "tau": Key(_number, 0, 10),
+    "dwell_s": Key(_integer, 0, _DAY_S),
+    "max_walk_km": Key(_number, 0, 100),
+    "transfer_s": Key(_integer, 0, _DAY_S),
+    "num_itineraries": Key(_integer, 1, 1000),
+    "seat_capacity": Key(_integer, 1, 100),
+    "workers": Key(_integer, 1, 256),
+    "capacity_enforcement": Key(_flag),
+    "meeting_point_route_types": Key(_integers, 0, 9999),
+    "agents_path": Key(_path),
+    "travel": Key(TravelModel),
+    "travel.drive_speed_kmh": Key(_number, 1, 1000),
+    "travel.walk_speed_kmh": Key(_number, 0.1, 100),
+    "travel.circuity": Key(_number, 1, 10),
+    "rules": Key(FeasibilityRules),
+    "rules.max_wait_s": Key(_integer, 0, _DAY_S),
+    "rules.max_walk_km": Key(_number, 0, 100),
+    "rules.walk_time_bound": Key(_flag),
+    "emissions": Key(EmissionModel),
+    "emissions.grams_per_km": Key(_number, 0, 10_000),
+    # seed and seat_capacity of a scenario are the top-level keys.
+    "scenario": Key(ScenarioConfig),
+    "scenario.rectangles": Key(_rectangles, 0, 1e6),
+    "scenario.driver_density": Key(_number, 0, 1000),
+    "scenario.rider_density": Key(_number, 0, 1000),
+    "scenario.sim_window": Key(_window, 0, 2 * _DAY_S),
+    "scenario.stats_window": Key(_window, 0, 2 * _DAY_S),
+    "scenario.area_km2": Key(_number, 0.01, 1e6),
+    "scenario.driver_count": Key(_integer, 0, _MAX_AGENTS),
+    "scenario.rider_count": Key(_integer, 0, _MAX_AGENTS),
+}
+
+
+def _object(cls, raw, path: str = ""):
+    """``cls`` built from the JSON object ``raw`` found at dotted ``path``.
+
+    Its keys are the fields of ``cls`` that ``SCHEMA`` lists.  An absent
+    key, or a null one whose default is None, keeps the field's default;
+    a field without a default is required.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object, not {raw!r}")
+    fields = [f for f in dataclasses.fields(cls) if f"{path}.{f.name}".lstrip(".") in SCHEMA]
+    unknown = set(raw) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown {path or 'config'} keys: {sorted(unknown)}")
+    kwargs = {}
+    for f in fields:
+        key = f"{path}.{f.name}".lstrip(".")
+        value = raw.get(f.name)
+        if value is None and (f.name not in raw or f.default is None):
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{key} is required")
+            continue
+        kind, lo, hi = SCHEMA[key]
+        try:
+            kwargs[f.name] = _object(kind, value, key) if isinstance(kind, type) else kind(value, lo, hi)
+        except ValueError as exc:
+            raise ConfigError(f"{key} {exc}") from None
+    return cls(**kwargs)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -192,70 +234,28 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSON or UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    if overrides:
+    if overrides and isinstance(raw, dict):
         raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    cfg = _object(RunConfig, raw)
 
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    cfg = RunConfig()
-    cfg.gtfs_path = raw.get("gtfs_path")
-    cfg.synthetic_city = _bool(raw, "synthetic_city", False)
-    cfg.output_dir = str(raw.get("output_dir", cfg.output_dir))
-    cfg.seed = _int(raw, "seed", cfg.seed)
-    cfg.service_date = str(raw.get("service_date", cfg.service_date))
-    try:
-        date.fromisoformat(cfg.service_date)
-    except ValueError as exc:
-        raise ConfigError(f"service_date {cfg.service_date!r} is not a date: {exc}") from None
-    cfg.tau = _float(raw, "tau", cfg.tau)
-    cfg.dwell_s = _int(raw, "dwell_s", cfg.dwell_s)
-    cfg.max_walk_km = _float(raw, "max_walk_km", cfg.max_walk_km)
-    cfg.transfer_s = _int(raw, "transfer_s", cfg.transfer_s)
-    cfg.num_itineraries = _int(raw, "num_itineraries", cfg.num_itineraries)
-    cfg.seat_capacity = _int(raw, "seat_capacity", cfg.seat_capacity)
-    cfg.workers = _int(raw, "workers", cfg.workers)
-    cfg.capacity_enforcement = _bool(raw, "capacity_enforcement", True)
-    route_types = raw.get("meeting_point_route_types", [1])
-    if not isinstance(route_types, list) or not all(_is_int(x) for x in route_types):
-        raise ConfigError(
-            f"meeting_point_route_types must be a list of integers, not {route_types!r}"
-        )
-    cfg.meeting_point_route_types = tuple(route_types)
-    cfg.agents_path = raw.get("agents_path")
-
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, not {cfg.seed}")
-    if cfg.seat_capacity < 1:
-        raise ConfigError(f"seat_capacity must be >= 1, not {cfg.seat_capacity}")
-    if "workers" in raw and cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, not {cfg.workers}")
-    if cfg.tau < 0:
-        raise ConfigError("tau must be non-negative")
-    if cfg.max_walk_km < 0:
-        raise ConfigError(f"max_walk_km must be non-negative, not {cfg.max_walk_km}")
-    if cfg.num_itineraries < 1:
-        raise ConfigError(f"num_itineraries must be >= 1, not {cfg.num_itineraries}")
-    if cfg.dwell_s < 0 or cfg.transfer_s < 0:
-        raise ConfigError("dwell_s and transfer_s must be non-negative")
-    if not cfg.meeting_point_route_types:
-        raise ConfigError("meeting_point_route_types must not be empty")
     if cfg.gtfs_path is None and not cfg.synthetic_city:
         raise ConfigError("either gtfs_path or synthetic_city is required")
-
-    cfg.travel = _sub(raw, "travel", TravelModel, {"drive_speed_kmh", "walk_speed_kmh", "circuity"})
-    cfg.rules = _sub(raw, "rules", FeasibilityRules, {"max_wait_s", "max_walk_km", "walk_time_bound"})
-    for key in ("max_walk_km", "max_wait_s"):
-        if getattr(cfg.rules, key) < 0:
-            raise ConfigError(f"rules.{key} must be non-negative, not {getattr(cfg.rules, key)}")
-    cfg.emissions = _sub(raw, "emissions", EmissionModel, {"grams_per_km"})
-    if "scenario" in raw:
-        if not isinstance(raw["scenario"], dict):
-            raise ConfigError("scenario must be an object")
-        cfg.scenario = _scenario(raw["scenario"], cfg.seed, cfg.seat_capacity)
+    if cfg.scenario is not None:
+        sc = cfg.scenario = dataclasses.replace(
+            cfg.scenario, seed=cfg.seed, seat_capacity=cfg.seat_capacity
+        )
+        sim, stats = sc.sim_window, sc.stats_window
+        if not (sim.start <= stats.start and stats.end <= sim.end):
+            raise ConfigError(
+                "scenario.stats_window must lie inside scenario.sim_window "
+                f"{format_gtfs_time(sim.start)}-{format_gtfs_time(sim.end)}"
+            )
+        for kind, count in zip(("driver", "rider"), sc.agent_counts()):
+            if count > _MAX_AGENTS:
+                raise ConfigError(
+                    f"scenario.{kind}_density gives {count} {kind}s over the sim window, "
+                    f"more than {_MAX_AGENTS}"
+                )
     return cfg

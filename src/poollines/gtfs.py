@@ -161,16 +161,30 @@ def parse_gtfs_time(text: str) -> int:
 
     Hours may exceed 23 for after-midnight service.
     """
-    parts = text.strip().split(":")
-    if len(parts) != 3:
-        raise ValueError(f"bad GTFS time: {text!r}")
     try:
-        h, m, s = (int(p) for p in parts)
-    except ValueError:
+        h, m, s = map(_ascii_int, text.strip().split(":"))
+    except ValueError:  # a part not of digits, or not three parts
         raise ValueError(f"bad GTFS time: {text!r}") from None
-    if h < 0 or not 0 <= m < 60 or not 0 <= s < 60:
+    if m >= 60 or s >= 60:
         raise ValueError(f"bad GTFS time: {text!r}")
     return h * 3600 + m * 60 + s
+
+
+def _ascii_int(text: str) -> int:
+    """A non-negative integer in ASCII digits, as GTFS writes it; ``int``
+    alone also takes a sign, underscores and other scripts' digits."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
+class _SequenceInts(dict):
+    """stop_sequence text to its int by :func:`_ascii_int`, each text
+    parsed on first use; one per parse."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = _ascii_int(text)
+        return value
 
 
 def format_gtfs_time(seconds: int) -> str:
@@ -416,7 +430,7 @@ def _parse_routes(source: _FeedSource) -> dict[str, Route]:
             if route_id in routes:
                 raise MalformedRow("routes.txt", line, f"duplicate route_id {route_id!r}")
             try:
-                route_type = int(table.need(row, "route_type", line))
+                route_type = _ascii_int(table.need(row, "route_type", line))
             except ValueError:
                 raise MalformedRow("routes.txt", line, "route_type is not an integer") from None
             name = table.get(row, "route_long_name") or table.get(row, "route_short_name")
@@ -452,13 +466,14 @@ def _parse_stoptimes(
     trip_id cell is looked up once per run of consecutive rows that
     share it, which gives the trip, whether the service date keeps it,
     and its group.  A row with a known stop, times in [H]H:MM:SS form
-    and an integer sequence is read with dict and list lookups: ids map
-    to the feed's own strings, and times sharing a minute text share int
-    objects.  Any row those lookups do not resolve goes through every
-    check in order, so a fault reports the same reason at the same line
-    whichever row it first appears on, in a trip that runs or not.  A
-    column the header lacks gets an index no row reaches, so every row
-    takes the checked path, which reads the column as "".
+    and a sequence of ASCII digits is read with dict and list lookups:
+    ids map to the feed's own strings, times sharing a minute text share
+    int objects, and each sequence text is parsed once per parse.  Any
+    row those lookups do not resolve goes through every check in order,
+    so a fault reports the same reason at the same line whichever row it
+    first appears on, in a trip that runs or not.  A column the header
+    lacks gets an index no row reaches, so every row takes the checked
+    path, which reads the column as "".
     """
     with _Table(source, "stop_times.txt", required=True) as table:
         keys = ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
@@ -466,6 +481,7 @@ def _parse_stoptimes(
         trip_ids = {k: k for k in known_trips}
         stop_ids = {k: k for k in stops}
         clock = _SecondInts()
+        sequences = _SequenceInts()
         seconds = _SECOND_TEXTS
         new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
 
@@ -479,7 +495,7 @@ def _parse_stoptimes(
             try:
                 arrival = parse_gtfs_time(table.need(row, "arrival_time", line))
                 departure = parse_gtfs_time(table.need(row, "departure_time", line))
-                sequence = int(table.need(row, "stop_sequence", line))
+                sequence = _ascii_int(table.need(row, "stop_sequence", line))
             except ValueError as exc:
                 raise MalformedRow("stop_times.txt", line, str(exc)) from None
             return trip_ids[trip_id], stop_ids[stop_id], arrival, departure, sequence
@@ -509,7 +525,7 @@ def _parse_stoptimes(
                     stop_id = stop_ids[stop_text]
                     arrival = clock[arrival_text[:-3]][seconds[arrival_text[-3:]]]
                     departure = clock[departure_text[:-3]][seconds[departure_text[-3:]]]
-                    sequence = int(sequence_text)  # int() ignores the padding strip() would remove
+                    sequence = sequences[sequence_text]
                 except (IndexError, KeyError, ValueError):
                     trip_id, stop_id, arrival, departure, sequence = checked(row, reader.line_num)
                     group = group_of(trip_id)
@@ -558,9 +574,9 @@ def _parse_calendar(source: _FeedSource) -> tuple[CalendarRow, ...]:
         for line, row in table:
             service_id = table.need(row, "service_id", line)
             try:
-                weekdays = tuple(int(table.need(row, c, line)) for c in _WEEKDAY_COLUMNS)
-                start = int(table.need(row, "start_date", line))
-                end = int(table.need(row, "end_date", line))
+                weekdays = tuple(_ascii_int(table.need(row, c, line)) for c in _WEEKDAY_COLUMNS)
+                start = _ascii_int(table.need(row, "start_date", line))
+                end = _ascii_int(table.need(row, "end_date", line))
             except ValueError as exc:
                 raise MalformedRow("calendar.txt", line, str(exc)) from None
             out.append(CalendarRow(service_id, weekdays, start, end))
@@ -573,8 +589,8 @@ def _parse_calendar_dates(source: _FeedSource) -> tuple[CalendarDateRow, ...]:
         for line, row in table:
             service_id = table.need(row, "service_id", line)
             try:
-                day = int(table.need(row, "date", line))
-                kind = int(table.need(row, "exception_type", line))
+                day = _ascii_int(table.need(row, "date", line))
+                kind = _ascii_int(table.need(row, "exception_type", line))
             except ValueError as exc:
                 raise MalformedRow("calendar_dates.txt", line, str(exc)) from None
             if kind not in (1, 2):

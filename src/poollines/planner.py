@@ -151,6 +151,21 @@ def _usable_links(
     return first_arrival[source] + seconds <= last_departure[target]
 
 
+def _unit_vectors(lat_r, lon_r, xp=np) -> tuple:
+    """(x, y, z) on the unit sphere of radian latitudes and longitudes:
+    arrays through numpy, or one point's floats through ``xp=math``."""
+    cos_lat = xp.cos(lat_r)
+    return cos_lat * xp.cos(lon_r), cos_lat * xp.sin(lon_r), xp.sin(lat_r)
+
+
+def _walk_chord(model: TravelModel, max_walk_km: float) -> float:
+    """The unit-sphere chord of the widest walkable angle.  The margin
+    covers the rounding of the chords a KD-tree over unit vectors
+    measures, so every pair in walking range is within it."""
+    angle = min(math.pi, max(0.0, max_walk_km / model.circuity / EARTH_RADIUS_KM))
+    return 2.0 * math.sin(angle / 2.0) * (1.0 + 1e-9) + 1e-12
+
+
 def _walk_seconds_vec(road: np.ndarray, model: TravelModel) -> np.ndarray:
     raw = road * 3600.0 / model.walk_speed_kmh
     return np.maximum(0.0, np.ceil(raw - 1e-9))
@@ -176,11 +191,12 @@ def build_footpaths(
     ``build_footpaths(t, model, max_walk_km).usable(first_arrival, last_departure)``.
 
     The sources go ``_FOOTPATH_BLOCK`` at a time.  A KD-tree over the
-    block, in a local flat projection, is queried against one over the
-    targets for candidate pairs, with a safety margin; exact
+    block's unit vectors is queried against one over the targets' for
+    the pairs within the walking chord (:func:`_walk_chord`); exact
     great-circle distances make the cut, so the links are those of the
-    quadratic scan; then come the time rule and the sort.  Neither the
-    candidate pairs nor the links the rule drops outlive their block.
+    quadratic scan at any latitude; then come the time rule and the
+    sort.  Neither the candidate pairs nor the links the rule drops
+    outlive their block.
     A pair's distance is computed from its lower-indexed stop, so both
     directions of a link carry the same bits.
     """
@@ -195,16 +211,15 @@ def build_footpaths(
 
     lat_r = np.radians([t.stops[s].position.lat for s in stop_ids])
     lon_r = np.radians([t.stops[s].position.lon for s in stop_ids])
-    mid = float(np.mean(lat_r))
-    xy = np.column_stack((EARTH_RADIUS_KM * np.cos(mid) * lon_r, EARTH_RADIUS_KM * lat_r))
-    reach = max_walk_km / model.circuity * 1.05 + 0.01
+    xyz = np.column_stack(_unit_vectors(lat_r, lon_r))
+    chord = _walk_chord(model, max_walk_km)
     src = np.flatnonzero(first_arrival < _INF)
     dst = np.flatnonzero(last_departure > -_INF)
-    dst_tree = cKDTree(xy[dst])
+    dst_tree = cKDTree(xyz[dst])
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     for k in range(0, len(src), _FOOTPATH_BLOCK):
         block = src[k : k + _FOOTPATH_BLOCK]
-        pairs = cKDTree(xy[block]).sparse_distance_matrix(dst_tree, reach, output_type="ndarray")
+        pairs = cKDTree(xyz[block]).sparse_distance_matrix(dst_tree, chord, output_type="ndarray")
         a, b = block[pairs["i"]], dst[pairs["j"]]
         del pairs
         lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -406,16 +421,8 @@ class Planner:
         self._positions = [timetable.stops[sid].position for sid in self._stop_ids]
         self._lat_r = np.radians(np.array([p.lat for p in self._positions]))
         self._lon_r = np.radians(np.array([p.lon for p in self._positions]))
-        cos_lat = np.cos(self._lat_r)
-        self._stop_tree = cKDTree(
-            np.column_stack(
-                (cos_lat * np.cos(self._lon_r), cos_lat * np.sin(self._lon_r), np.sin(self._lat_r))
-            )
-        )
-        # The chord of the widest walkable angle; the margin covers the
-        # rounding of the chords the tree measures.
-        angle = min(math.pi, max(0.0, max_walk_km / model.circuity / EARTH_RADIUS_KM))
-        self._walk_chord = 2.0 * math.sin(angle / 2.0) * (1.0 + 1e-9) + 1e-12
+        self._stop_tree = cKDTree(np.column_stack(_unit_vectors(self._lat_r, self._lon_r)))
+        self._walk_chord = _walk_chord(model, max_walk_km)
         # (origin, destination, departure), the links and the first
         # TRANSIT scan of the last request.
         self._last_links: list = [None, None, None]
@@ -531,11 +538,8 @@ class Planner:
 
     def _stop_walks(self, point: GeoPoint) -> _StopWalks:
         """The stops within the walking cap of a request endpoint."""
-        lat = math.radians(point.lat)
-        lon = math.radians(point.lon)
         near = self._stop_tree.query_ball_point(
-            (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)),
-            self._walk_chord,
+            _unit_vectors(math.radians(point.lat), math.radians(point.lon), math), self._walk_chord
         )
         stops = np.array(near, dtype=np.int64)
         stops.sort()
@@ -871,30 +875,23 @@ class Planner:
         Each round bans the first ride trip of the previous result and
         re-solves, seeded with the previous solve's scan; a walk-only
         itinerary closes the list as the final fallback.  At most
-        ``req.num_itineraries`` results.
+        ``req.num_itineraries`` results.  No result repeats an earlier
+        one: each later alternative rides none of the banned trips, so it
+        differs from every earlier one, which rode its own first ride
+        trip, and the closing walk rides nothing.
         """
         links = self._request_links(req)
         it, scan = self._first_solve(req, links)
         banned: set[int] = set()
-        seen: set[tuple] = set()
         count = 0
-        while True:
-            rides = it.ride_legs
-            if not rides:
-                break
-            sig = _signature(it)
-            if sig in seen:
-                break
-            seen.add(sig)
+        while rides := it.ride_legs:
             yield it
             count += 1
             if count == req.num_itineraries:
                 return
             banned.add(self._trip_index[rides[0].trip_id])
             it, scan = self._solve(req, banned, links, scan)
-        walk = self._walk_only(req)
-        if _signature(walk) not in seen:
-            yield walk
+        yield self._walk_only(req)
 
     def _first_solve(
         self, req: PlanRequest, links: _RequestLinks | None
@@ -917,7 +914,3 @@ class Planner:
         if req.mode is PlanMode.TRANSIT:
             self._last_links[2] = scan
         return it, scan
-
-
-def _signature(it: Itinerary) -> tuple:
-    return tuple((l.kind, l.trip_id, l.from_stop, l.to_stop, l.start, l.end) for l in it.legs)

@@ -87,8 +87,8 @@ class Window:
 @dataclass(frozen=True)
 class ScenarioConfig:
     rectangles: tuple[Rectangle, ...]
-    driver_density: float  # drivers per km^2 per hour
-    rider_density: float
+    driver_density: float = 0.0  # drivers per km^2 per hour
+    rider_density: float = 0.0
     sim_window: Window = field(default_factory=lambda: Window.from_texts("10:30:00", "11:30:00"))
     stats_window: Window = field(default_factory=lambda: Window.from_texts("10:45:00", "11:15:00"))
     seed: int = 0
@@ -108,6 +108,16 @@ class ScenarioConfig:
         if self.area_km2 is not None:
             return self.area_km2
         return sum(r.area_km2 for r in self.rectangles)
+
+    def agent_counts(self) -> tuple[int, int]:
+        """Drivers and riders to sample: each explicit count, else its
+        density's over the area and the sim window."""
+        area, hours = self.effective_area_km2, self.sim_window.hours
+        drivers, riders = self.driver_count, self.rider_count
+        return (
+            agent_count(self.driver_density, area, hours) if drivers is None else drivers,
+            agent_count(self.rider_density, area, hours) if riders is None else riders,
+        )
 
 
 @dataclass(frozen=True)
@@ -161,17 +171,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     seeded in one :func:`~poollines.drivers.agent_streams`.  Drivers
     declare at the start of the simulation window.
     """
-    hours = cfg.sim_window.hours
-    n_drivers = (
-        cfg.driver_count
-        if cfg.driver_count is not None
-        else agent_count(cfg.driver_density, cfg.effective_area_km2, hours)
-    )
-    n_riders = (
-        cfg.rider_count
-        if cfg.rider_count is not None
-        else agent_count(cfg.rider_density, cfg.effective_area_km2, hours)
-    )
+    n_drivers, n_riders = cfg.agent_counts()
     weights = _weights(cfg.rectangles)
 
     def trips(tag: int, count: int) -> Iterator[tuple[int, GeoPoint, GeoPoint, int]]:

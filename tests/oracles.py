@@ -20,12 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from array import array
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from poollines import gtfs
 from poollines.drivers import Driver, DriverJourney, MeetingPointSet, _journey
@@ -569,10 +569,12 @@ def arriving_to_departing(timetable: Timetable, fps: FootpathSet) -> FootpathSet
 def reference_build_footpaths(
     timetable: Timetable, model: TravelModel, max_walk_km: float = 2.5
 ) -> FootpathSet:
-    """``build_footpaths`` the plain way: a Python list of link tuples, sorted.
+    """``build_footpaths`` the plain way: every pair of stops, as a Python
+    list of link tuples, sorted.
 
-    Same KD-tree prefilter and the same float arithmetic as the package,
-    so the arrays must agree bit for bit; only the assembly differs.
+    The same float arithmetic as the package, each pair computed from
+    its lower-indexed stop, so the arrays must agree bit for bit; the
+    package's KD-tree prefilter must drop no pair this keeps.
     """
     stop_ids = tuple(sorted(timetable.stops))
     n = len(stop_ids)
@@ -583,15 +585,10 @@ def reference_build_footpaths(
 
     lat_r = np.radians(np.array([timetable.stops[s].position.lat for s in stop_ids]))
     lon_r = np.radians(np.array([timetable.stops[s].position.lon for s in stop_ids]))
-    mid = float(np.mean(lat_r))
-    xy = np.column_stack((EARTH_RADIUS_KM * np.cos(mid) * lon_r, EARTH_RADIUS_KM * lat_r))
-    radius = max_walk_km / model.circuity
-    pairs = cKDTree(xy).query_pairs(r=radius * 1.05 + 0.01, output_type="ndarray")
+    a, b = np.triu_indices(n, 1)
 
     links: list[tuple[int, int, int, float]] = []
-    if len(pairs):
-        a = pairs[:, 0]
-        b = pairs[:, 1]
+    if len(a):
         h = (
             np.sin((lat_r[b] - lat_r[a]) / 2.0) ** 2
             + np.cos(lat_r[a]) * np.cos(lat_r[b]) * np.sin((lon_r[b] - lon_r[a]) / 2.0) ** 2
@@ -785,6 +782,8 @@ def reference_parse_stoptimes(source, stops: dict, known_trips: dict, kept_trips
     Each row's trip, stop, times and sequence are read by ``need``,
     stripped, and checked in that order, then departure against arrival;
     rows of trips not in ``kept_trips`` are dropped after their checks.
+    A sequence is ASCII digits only, as the times' parts are: no sign,
+    underscore or digit of another script.
     The table is read by ``gtfs._Table``, so a test can swap the reader.
     """
     grouped: dict = {}
@@ -799,7 +798,10 @@ def reference_parse_stoptimes(source, stops: dict, known_trips: dict, kept_trips
             try:
                 arrival = parse_gtfs_time(table.need(row, "arrival_time", line))
                 departure = parse_gtfs_time(table.need(row, "departure_time", line))
-                sequence = int(table.need(row, "stop_sequence", line))
+                sequence_text = table.need(row, "stop_sequence", line)
+                if not re.fullmatch("[0-9]+", sequence_text):
+                    raise ValueError(f"invalid literal for int() with base 10: {sequence_text!r}")
+                sequence = int(sequence_text)
             except ValueError as exc:
                 raise MalformedRow("stop_times.txt", line, str(exc)) from None
             if departure < arrival:

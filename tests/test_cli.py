@@ -3,12 +3,20 @@
 Each test drives ``main`` with real argv against a small synthetic-city
 config, then inspects the files the commands leave behind.
 """
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poollines import config
 from poollines.cli import main
+from poollines.config import SCHEMA, Key
 from poollines.gtfs import parse_gtfs, write_gtfs
 from poollines.injection import is_poolline_trip, pool_trip_id
 from poollines.scenario import Window, read_agents
@@ -282,6 +290,14 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # Ended in a UnicodeDecodeError traceback.
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"synthetic_city": true, "output_dir": "\xff"}')
+    assert main(["generate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON: ")
+
+
 _SMALL_SCENARIO = {
     "rectangles": "city",
     "driver_count": 20,
@@ -335,6 +351,28 @@ _SMALL_SCENARIO = {
         ({"scenario": {**_SMALL_SCENARIO, "rider_count": -3}}, "scenario.rider_count"),
         ({"scenario": {**_SMALL_SCENARIO, "area_km2": 0}}, "scenario.area_km2"),
         ({"scenario": {**_SMALL_SCENARIO, "area_km2": -400.0}}, "scenario.area_km2"),
+        # Values that ended in a traceback or were silently coerced.
+        pytest.param({"synthetic_city": False, "gtfs_path": 5}, "gtfs_path", id="gtfs_path-int"),
+        pytest.param({"agents_path": 5}, "agents_path", id="agents_path-int"),
+        pytest.param({"output_dir": [1]}, "output_dir", id="output_dir-list"),
+        pytest.param({"travel": {"circuity": 1e308}}, "travel.circuity", id="circuity-huge"),
+        pytest.param({"travel": {"walk_speed_kmh": 1e-300}}, "travel.walk_speed_kmh",
+                     id="walk_speed-tiny"),
+        pytest.param({"travel": {"drive_speed_kmh": 1e-300}}, "travel.drive_speed_kmh",
+                     id="drive_speed-tiny"),
+        pytest.param({"dwell_s": 10**24}, "dwell_s", id="dwell_s-huge"),
+        pytest.param({"scenario": {**_SMALL_SCENARIO, "driver_count": 10**20}},
+                     "scenario.driver_count", id="driver_count-huge"),
+        pytest.param({"scenario": {"rectangles": "city", "driver_density": 1e300, "rider_count": 20}},
+                     "scenario.driver_density", id="driver_density-huge"),
+        # A stats window the sim window does not contain (by default 10:30-11:30).
+        pytest.param({"scenario": {**_SMALL_SCENARIO, "stats_window": ["12:00:00", "13:00:00"]}},
+                     "scenario.stats_window", id="stats_window-outside"),
+        pytest.param({"scenario": {**_SMALL_SCENARIO, "stats_window": ["11:00:00", "12:00:00"]}},
+                     "scenario.stats_window", id="stats_window-overlapping"),
+        # GTFS times are ASCII digits: int() would take the underscore.
+        pytest.param({"scenario": {**_SMALL_SCENARIO, "sim_window": ["1_0:30:00", "11:30:00"]}},
+                     "scenario.sim_window", id="sim_window-underscore"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, bad, key):
@@ -357,6 +395,71 @@ def test_malformed_service_date_is_a_config_error(tmp_path, capsys, service_date
     assert err.startswith(f"config error: service_date {service_date!r} is not a date: ")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def _faults(spec: Key) -> list:
+    """Values of the wrong JSON kind, or outside the domain, for the key ``spec`` describes."""
+    kind, lo, hi = spec
+    if isinstance(kind, type):  # a nested object
+        return [5, [], "travel", {"bogus": 1}]
+    if kind in (config._integer, config._number):
+        values = [lo - 1, hi + 1, hi * 10, 10**20, -(10**20), 1e300, "1", True, None, [lo]]
+        if lo > 0:
+            values.append(lo / 2)
+        return values + ([1.5, float(lo)] if kind is config._integer else [float("nan")])
+    return {
+        config._flag: ["true", 0, 1, None],
+        config._path: [5, [1], "", "a\0b", None],
+        config._date: ["2022-13-40", "July 20", 20220720, ""],
+        config._window: ["10:00:00", ["10:00:00"], ["11:00:00", "10:00:00"], ["1_0:30:00", "11:30:00"],
+                         [5, 6], ["00:00:00", "99:00:00"], ["12:00:00", "13:00:00"]],
+        config._integers: [[], [1.5], 1, [-1], [10**20], [True]],
+        config._rectangles: [[], "town", [[1, 2, 3]], [[100, 101, 0, 1]], [[45.0, 44.0, 0, 1]],
+                             [[0, 1, 0, 1, -1]], [[0, 1, 0, 1, 1e300]], [["0", 1, 0, 1]]],
+    }[kind]
+
+
+_FAULTS = st.sampled_from(sorted(SCHEMA)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from([_DROP, *_faults(SCHEMA[key])]))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FAULTS)
+def test_a_config_fault_is_a_config_error_or_a_complete_run(fault):
+    # Under 32 riders the run resolves in this process whatever "workers" is.
+    key, value = fault
+    cfg = {
+        "synthetic_city": True, "seed": 7, "workers": 1, "travel": {}, "rules": {}, "emissions": {},
+        "scenario": {"rectangles": "city", "driver_count": 10, "rider_count": 20, "area_km2": 400.0,
+                     "sim_window": ["10:30:00", "11:30:00"], "stats_window": ["10:30:00", "11:30:00"]},
+    }
+    *blocks, name = key.split(".")
+    parent = cfg[blocks[0]] if blocks else cfg
+    if value is _DROP:
+        parent.pop(name, None)
+    else:
+        parent[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "run")])
+        assert rc in (0, 1, 2)
+        if rc == 1:
+            assert err.getvalue().startswith("config error: ")
+            assert key in err.getvalue()
+        if rc != 0:
+            return
+        run = Path(tmp) / "run"
+        _, riders = read_agents(run / "agents.csv", 0)
+        report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+        for variant, figures in report["variants"].items():
+            lines = (run / f"outcomes_{variant}.csv").read_text(encoding="utf-8").splitlines()
+            assert sorted(int(line.split(",")[0]) for line in lines[1:]) == [r.rider_id for r in riders]
+            shown = f"{variant}: unserved " in out.getvalue()
+            assert shown == (figures["riders_in_stats_window"] > 0)
 
 
 def test_zero_agent_counts_are_legal(tmp_path, capsys):

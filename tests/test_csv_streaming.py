@@ -308,8 +308,19 @@ def test_zip_feed_faults_name_file_and_line(tmp_path, raw, message):
         ("W1,08:03:20,08:02:00,B,1", (MalformedRow, "departure before arrival")),
         ("W1,08:03:20,08:04:20", (MalformedRow, "missing value for 'stop_id'")),
         ("W1,08:03:20,08:04:20,B,1.5", (MalformedRow, "invalid literal for int() with base 10: '1.5'")),
+        # int() takes each of these; GTFS writes its integers in ASCII digits.
+        ("W1,08:03:20,08:04:20,B,-1", (MalformedRow, "invalid literal for int() with base 10: '-1'")),
+        ("W1,08:03:20,08:04:20,B,+1", (MalformedRow, "invalid literal for int() with base 10: '+1'")),
+        ("W1,08:03:20,08:04:20,B,1_0", (MalformedRow, "invalid literal for int() with base 10: '1_0'")),
+        ("W1,08:03:20,08:04:20,B,٣٣", (MalformedRow, "invalid literal for int() with base 10: '٣٣'")),
+        ("W1,08:03:20,08:04:20,B, 1_0 ", (MalformedRow, "invalid literal for int() with base 10: '1_0'")),
+        ("W1,+8:03:20,08:04:20,B,1", (MalformedRow, "bad GTFS time: '+8:03:20'")),
+        ("W1,0_8:03:20,08:04:20,B,1", (MalformedRow, "bad GTFS time: '0_8:03:20'")),
+        ("W1,08:03:20,08:04:٢٠,B,1", (MalformedRow, "bad GTFS time: '08:04:٢٠'")),
     ],
-    ids=["no-fault", "unknown-stop", "bad-time", "departure-before-arrival", "short-row", "sequence"],
+    ids=["no-fault", "unknown-stop", "bad-time", "departure-before-arrival", "short-row", "sequence",
+         "sequence-sign", "sequence-plus", "sequence-underscore", "sequence-arabic-indic",
+         "sequence-padded-underscore", "time-plus", "time-underscore", "time-arabic-indic"],
 )
 def test_fault_in_a_trip_that_does_not_run_names_its_line(tmp_path, row, fault):
     # Line 3 is W1's fault, or its valid row; the kept rows of X1 have padded cells.
@@ -325,6 +336,7 @@ def test_fault_in_a_trip_that_does_not_run_names_its_line(tmp_path, row, fault):
         elif service_date == "2022-07-20":
             assert got.stoptimes == _tiny_timetable().stoptimes
             assert list(got.trips) == ["X1"]
+
 
 
 # ---- no copy of the file, no file left open ------------------------------

@@ -576,6 +576,15 @@ def test_faults_in_other_tables_name_file_line_and_reason(tmp_path):
          "calendar.txt:2: missing value for 'end_date'"),
         ("calendar_dates.txt", "service_id,date,exception_type\nWEEKDAYS,20220720,3\n",
          "calendar_dates.txt:2: bad exception_type 3"),
+        # Integers are ASCII digits: int() would take each of these.
+        ("routes.txt", "route_id,route_type\nR1,+1\n", "routes.txt:2: route_type is not an integer"),
+        ("routes.txt", "route_id,route_type\nR1,١\n", "routes.txt:2: route_type is not an integer"),
+        ("calendar.txt",
+         "service_id,monday,tuesday,wednesday,thursday,friday,saturday,sunday,start_date,end_date\n"
+         "WEEKDAYS,1,1,1,1,1,0,0,2022_01_01,20221231\n",
+         "calendar.txt:2: invalid literal for int() with base 10: '2022_01_01'"),
+        ("calendar_dates.txt", "service_id,date,exception_type\nWEEKDAYS,20220720,-2\n",
+         "calendar_dates.txt:2: invalid literal for int() with base 10: '-2'"),
     ]
     for i, (name, text, message) in enumerate(cases):
         feed = _feed_with(tmp_path / str(i), name, text)
@@ -607,3 +616,4 @@ def test_cell_past_the_header_is_not_a_missing_column(tmp_path):
         "stop_id,stop_lat,stop_lon\nA,45.0,-122.3,surprise\nB,45.01,-122.29\nC,45.02,-122.28\n",
     )
     assert parse_gtfs(feed).stops["A"].name == ""
+

@@ -583,6 +583,23 @@ def test_footpaths_equal_the_tuple_sort_reference_bit_for_bit(stops, cap, block)
     )
 
 
+def test_footpaths_keep_walkable_links_on_a_feed_spanning_many_latitudes():
+    # B lies 1.8 great-circle km due east of A at 60°N: 2.34 road km, under
+    # the 2.5 km cap.  Ten stops near the equator put the feed's mean
+    # latitude far south of A, where a flat projection there shrinks no
+    # distance but stretches A-B past any fixed margin.
+    lat, lon = 60.0, 10.0
+    dlon = np.degrees(2 * np.arcsin(np.sin(1.8 / 2 / 6371.0088) / np.cos(np.radians(lat))))
+    pair = [(lat, lon), (lat, lon + float(dlon))]
+    south = [(0.1 * k, 10.0 + 5.0 * k) for k in range(10)]
+    for points in (pair, pair + south):
+        t = Timetable(_stops(points), {}, {}, {}, (), (), {})
+        links = {(a, b): km for a, b, _, km in footpath_links(build_footpaths(t, MODEL))}
+        assert set(links) >= {("S000", "S001"), ("S001", "S000")}
+        assert links["S000", "S001"] == pytest.approx(2.34, abs=1e-6)
+        _assert_bit_identical(build_footpaths(t, MODEL), reference_build_footpaths(t, MODEL))
+
+
 def _assert_bit_identical(got: FootpathSet, want: FootpathSet) -> None:
     assert got.stop_ids == want.stop_ids
     for name in ("starts", "targets", "seconds", "km"):
