@@ -18,9 +18,11 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .drivers import DEFAULT_DWELL_S, DEFAULT_SEAT_CAPACITY, DEFAULT_TAU
 from .geo import TravelModel
 from .gtfs import format_gtfs_time
 from .matching import FeasibilityRules
+from .planner import DEFAULT_MAX_WALK_KM, DEFAULT_NUM_ITINERARIES, DEFAULT_TRANSFER_S
 from .scenario import Rectangle, ScenarioConfig, ScenarioError, Window
 from .simulation import EmissionModel
 
@@ -36,12 +38,12 @@ class RunConfig:
     output_dir: str = "out"
     seed: int = 0
     service_date: str = "2022-07-20"
-    tau: float = 0.15
-    dwell_s: int = 60
-    max_walk_km: float = 2.5
-    transfer_s: int = 60
-    num_itineraries: int = 10
-    seat_capacity: int = 4
+    tau: float = DEFAULT_TAU
+    dwell_s: int = DEFAULT_DWELL_S
+    max_walk_km: float = DEFAULT_MAX_WALK_KM
+    transfer_s: int = DEFAULT_TRANSFER_S
+    num_itineraries: int = DEFAULT_NUM_ITINERARIES
+    seat_capacity: int = DEFAULT_SEAT_CAPACITY
     workers: int = 0  # 0, when the config and flags set none: one worker per CPU
     capacity_enforcement: bool = True
     meeting_point_route_types: tuple[int, ...] = (1,)

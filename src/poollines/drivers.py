@@ -18,6 +18,7 @@ from .gtfs import ROUTE_TYPE_SUBWAY, Stop, Timetable
 
 DEFAULT_TAU = 0.15
 DEFAULT_DWELL_S = 60
+DEFAULT_SEAT_CAPACITY = 4
 
 # Most distances held at once by MeetingPointSet.nearest_many: query
 # points are taken in blocks of about this many (point, stop) pairs.
@@ -51,7 +52,7 @@ class Driver:
     destination: GeoPoint
     departure_time: int
     declaration_time: int
-    seat_capacity: int = 4
+    seat_capacity: int = DEFAULT_SEAT_CAPACITY
 
     def __post_init__(self) -> None:
         if self.driver_id < 0:

@@ -178,6 +178,14 @@ def _ascii_int(text: str) -> int:
     raise ValueError(f"invalid literal for int() with base 10: {text!r}")
 
 
+def _ascii_float(text: str) -> float:
+    """A number in ASCII, as GTFS and agents.csv write coordinates;
+    ``float`` alone also takes underscores and other scripts' digits."""
+    if text.isascii() and "_" not in text:
+        return float(text)
+    raise ValueError(f"could not convert string to float: {text!r}")
+
+
 class _SequenceInts(dict):
     """stop_sequence text to its int by :func:`_ascii_int`, each text
     parsed on first use; one per parse."""
@@ -413,8 +421,8 @@ def _parse_stops(source: _FeedSource) -> dict[str, Stop]:
             if stop_id in stops:
                 raise MalformedRow("stops.txt", line, f"duplicate stop_id {stop_id!r}")
             try:
-                lat = float(table.need(row, "stop_lat", line))
-                lon = float(table.need(row, "stop_lon", line))
+                lat = _ascii_float(table.need(row, "stop_lat", line))
+                lon = _ascii_float(table.need(row, "stop_lon", line))
                 position = GeoPoint(lat, lon)
             except ValueError as exc:
                 raise MalformedRow("stops.txt", line, str(exc)) from None

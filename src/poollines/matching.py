@@ -14,10 +14,16 @@ from typing import Iterable, Mapping
 from .drivers import DriverJourney
 from .geo import GeoPoint, TravelModel, walk_seconds
 from .injection import destination_stop_id, driver_id_of_trip, origin_stop_id
-from .planner import Itinerary, Planner, PlanMode, PlanRequest
+from .planner import (
+    DEFAULT_MAX_WALK_KM,
+    DEFAULT_NUM_ITINERARIES,
+    Itinerary,
+    Planner,
+    PlanMode,
+    PlanRequest,
+)
 
 DEFAULT_MAX_WAIT_S = 2700
-DEFAULT_MAX_WALK_KM = 2.5
 
 
 class RiderMode(str, Enum):
@@ -102,7 +108,7 @@ def resolve_rider(
     r: Rider,
     rules: FeasibilityRules,
     mode: PlanMode = PlanMode.TRANSIT,
-    num_itineraries: int = 10,
+    num_itineraries: int = DEFAULT_NUM_ITINERARIES,
 ) -> RiderOutcome:
     """First feasible itinerary for the rider, or an unserved outcome.
 

@@ -22,7 +22,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 from typing import NamedTuple
@@ -116,9 +116,10 @@ class FootpathSet:
     ``stop_ids`` fixes the stop indexing; for source stop i the targets
     are ``targets[starts[i]:starts[i+1]]``, sorted, with matching walk
     seconds and kilometres.  :func:`build_footpaths` without arrival and
-    departure times returns a symmetric set; with them, and in a
-    :class:`Planner`, only the links some arrival can use (see
-    :func:`_usable_links`).
+    departure times returns a symmetric set; with them, only the links
+    some arrival can use (see :func:`_usable_links`).  A
+    :class:`Planner` holds no such set: its ``footpaths`` is a view
+    rebuilt from its fan tables.
     """
 
     stop_ids: tuple[str, ...]
@@ -126,15 +127,6 @@ class FootpathSet:
     targets: np.ndarray
     seconds: np.ndarray
     km: np.ndarray
-
-    def usable(self, first_arrival: np.ndarray, last_departure: np.ndarray) -> "FootpathSet":
-        """The links :func:`_usable_links` passes with these times."""
-        n = len(self.stop_ids)
-        source = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.starts))
-        keep = _usable_links(source, self.targets, self.seconds, first_arrival, last_departure)
-        starts = np.zeros(n + 1, dtype=np.int64)
-        starts[1:] = np.cumsum(np.bincount(source[keep], minlength=n))
-        return FootpathSet(self.stop_ids, starts, self.targets[keep], self.seconds[keep], self.km[keep])
 
 
 def _usable_links(
@@ -187,8 +179,8 @@ def build_footpaths(
 
     Without times the set is symmetric.  With ``first_arrival`` and
     ``last_departure``, one time per sorted stop id, it holds only the
-    links :func:`_usable_links` passes, and equals
-    ``build_footpaths(t, model, max_walk_km).usable(first_arrival, last_departure)``.
+    links :func:`_usable_links` passes.  A :class:`Planner` reads the
+    set once, into its fan tables, and keeps no reference to it.
 
     The sources go ``_FOOTPATH_BLOCK`` at a time.  A KD-tree over the
     block's unit vectors is queried against one over the targets' for
@@ -327,12 +319,12 @@ class Planner:
     A mode M keeps the footpath u→v with walk w only when some arrival
     of M can use it: some connection of M arrives at u, some connection
     of M leaves v, and M's first arrival at u plus w is no later than
-    M's last departure from v (:func:`_usable_links`).  ``footpaths``
-    holds the links TRANSIT keeps, the union of the three modes' sets,
-    so it is not symmetric.  The planner sorts its connections first
-    and then builds just those links with :func:`build_footpaths`; a
-    ``footpaths`` argument is cut down to them with
-    :meth:`FootpathSet.usable`.
+    M's last departure from v (:func:`_usable_links`).  The planner
+    sorts its connections first and then builds just TRANSIT's links
+    with :func:`build_footpaths`, or takes a ``footpaths`` argument;
+    each mode cuts the links with its own times.  A restricted mode's
+    first arrivals are no earlier and its last departures no later than
+    TRANSIT's, so TRANSIT keeps the union of the three modes' links.
 
     Dropping the other links changes no answer.  A relaxation of u→v
     happens at some arrival ``at`` of M at u, no earlier than M's first
@@ -352,8 +344,10 @@ class Planner:
     Removing links from a fan also keeps its keys sorted, so both
     bisections below still cut where they did.
 
-    The scan reads its own copy of the links, one :class:`_FanTable`
-    per mode.  By the argument above, a label later than the target's
+    The links live only in the fan tables, one :class:`_FanTable` per
+    mode, with the road km of TRANSIT's links beside its table; the
+    ``footpaths`` property rebuilds a :class:`FootpathSet` from them.
+    By the argument above, a label later than the target's
     last departure, or than the scan limit, is never boarded from:
     nothing departing after the limit is scanned, and the limit only
     falls.  So a relaxation reads each part of a fan only up to that
@@ -495,20 +489,18 @@ class Planner:
         mode_times = {}
         for mode, rows in mode_rows.items():
             conns = range(len(dep_t)) if mode is PlanMode.TRANSIT else rows.tolist()
-            self._mode_conns[mode] = (conns, [self._c_dep_t[ci] for ci in conns])
+            times = self._c_dep_t if mode is PlanMode.TRANSIT else [self._c_dep_t[ci] for ci in conns]
+            self._mode_conns[mode] = (conns, times)
             first = np.full(n, _INF)
             np.minimum.at(first, arr_s[rows], arr_t[rows])
             last = np.full(n, -_INF)
             np.maximum.at(last, dep_s[rows], dep_t[rows])
             mode_times[mode] = (first, last)
-        transit = mode_times[PlanMode.TRANSIT]
-        if footpaths is None:
-            self.footpaths = build_footpaths(timetable, model, max_walk_km, *transit)
-        else:
-            self.footpaths = footpaths.usable(*transit)
-
-        # Per mode, the scan's copy of the links it keeps (see _FanTable).
-        fp = self.footpaths
+        # Per mode, the links it keeps (see _FanTable), and the road km of
+        # TRANSIT's in the order of its table.
+        fp = footpaths
+        if fp is None:
+            fp = build_footpaths(timetable, model, max_walk_km, *mode_times[PlanMode.TRANSIT])
         source = np.repeat(np.arange(n, dtype=np.int64), np.diff(fp.starts))
         # Walk seconds are whole, so the keys are exact integers.
         walk = fp.seconds.astype(np.int64)
@@ -533,6 +525,20 @@ class Planner:
                 array("d", fp.seconds[links].astype(np.float64, copy=False).tobytes()),
                 array("i", key.astype(np.int32).tobytes()),
             )
+            if mode is PlanMode.TRANSIT:
+                self._transit_km = array("d", fp.km[links].astype(np.float64, copy=False).tobytes())
+
+    @property
+    def footpaths(self) -> FootpathSet:
+        """TRANSIT's links, the union of the three modes', rebuilt from its
+        fan table on every read; the planner itself never reads it."""
+        fan = self._fans[PlanMode.TRANSIT]
+        starts = np.array(fan.starts, dtype=np.int64)
+        source = np.repeat(np.arange(len(self._stop_ids), dtype=np.int64), np.diff(starts))
+        targets = np.array(fan.targets, dtype=np.int64)
+        order = np.lexsort((targets, source))  # each source's links by target
+        seconds, km = (np.array(a, dtype=np.float64)[order] for a in (fan.seconds, self._transit_km))
+        return FootpathSet(self._stop_ids, starts, targets[order], seconds, km)
 
     # ---- helpers ----------------------------------------------------
 
@@ -563,12 +569,11 @@ class Planner:
         return cum
 
     def _footpath_seconds_km(self, from_idx: int, to_idx: int) -> tuple[int, float]:
-        a = int(self.footpaths.starts[from_idx])
-        b = int(self.footpaths.starts[from_idx + 1])
-        k = a + int(np.searchsorted(self.footpaths.targets[a:b], to_idx))
-        if k >= b or int(self.footpaths.targets[k]) != to_idx:
-            raise KeyError(f"no footpath between stop indices {from_idx} and {to_idx}")
-        return int(self.footpaths.seconds[k]), float(self.footpaths.km[k])
+        """A link's walk seconds and road km, from TRANSIT's fan table,
+        which holds every link a solve of any mode relaxes."""
+        fan = self._fans[PlanMode.TRANSIT]
+        k = fan.targets.index(to_idx, fan.starts[from_idx], fan.starts[from_idx + 1])
+        return int(fan.seconds[k]), self._transit_km[k]
 
     def _leg_kind(self, trip_index: int) -> str:
         return "carpool" if self._pool_flags[trip_index] else "transit"
@@ -838,21 +843,13 @@ class Planner:
     def _merge_same_trip(legs: list[Leg]) -> list[Leg]:
         out: list[Leg] = []
         for leg in legs:
-            prev = out[-1] if out else None
-            if (
-                prev is not None
-                and leg.trip_id is not None
-                and prev.trip_id == leg.trip_id
-            ):
-                out[-1] = Leg(
-                    kind=prev.kind,
-                    start=prev.start,
+            if out and leg.trip_id is not None and out[-1].trip_id == leg.trip_id:
+                prev = out[-1]
+                out[-1] = replace(
+                    prev,
                     end=leg.end,
                     distance_km=prev.distance_km + leg.distance_km,
-                    from_point=prev.from_point,
                     to_point=leg.to_point,
-                    trip_id=prev.trip_id,
-                    from_stop=prev.from_stop,
                     to_stop=leg.to_stop,
                 )
             else:

@@ -146,6 +146,8 @@ def summarise(
 
     Modal shares and served sets count only riders departing inside the
     stats window; occupancy, detours and voiding count every driver.
+    A stats window with no rider has no modal split: each share is None,
+    null in report.json and an empty cell in modal_split.csv.
     The car kilometres avoided by integration count riders served by
     INTEGRATED but stranded in CURRENT: their forgone private car trips,
     minus the effective detours of the drivers who carried them.  The
@@ -165,7 +167,7 @@ def summarise(
             "riders_total": len(outcomes),
             "riders_in_stats_window": len(in_window),
             "modal_split_pct": {
-                m.value: 100.0 * modes[m] / len(in_window) if in_window else 0.0
+                m.value: 100.0 * modes[m] / len(in_window) if in_window else None
                 for m in RiderMode
             },
             "occupancy_hist": {str(k): n for k, n in sorted(occupancy.items())},

@@ -16,9 +16,9 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .drivers import Driver, agent_streams
+from .drivers import DEFAULT_SEAT_CAPACITY, Driver, agent_streams
 from .geo import GeoPoint
-from .gtfs import CsvRows, format_coordinate, parse_gtfs_time
+from .gtfs import CsvRows, _ascii_float, _ascii_int, format_coordinate, parse_gtfs_time
 from .matching import Rider
 
 # Metres of latitude per degree, and of longitude per degree at the
@@ -95,7 +95,7 @@ class ScenarioConfig:
     area_km2: float | None = None  # None: sum of rectangle areas
     driver_count: int | None = None  # explicit overrides beat the density formula
     rider_count: int | None = None
-    seat_capacity: int = 4
+    seat_capacity: int = DEFAULT_SEAT_CAPACITY
 
     def __post_init__(self) -> None:
         if not self.rectangles:
@@ -252,7 +252,7 @@ def read_csv(path: str | Path, header: list[str], parse: Callable[[list[str]], T
 
 
 def read_agents(
-    path: str | Path, declaration_time: int, seat_capacity: int = 4
+    path: str | Path, declaration_time: int, seat_capacity: int = DEFAULT_SEAT_CAPACITY
 ) -> tuple[tuple[Driver, ...], tuple[Rider, ...]]:
     """Load an agents file.
 
@@ -278,13 +278,13 @@ def _agent(cells: list[str], declaration_time: int, seat_capacity: int) -> Drive
     kind, agent_id, olat, olon, dlat, dlon, departure_text = cells
     if kind not in ("driver", "rider"):
         raise ValueError(f"unknown agent kind {kind!r}")
-    origin = GeoPoint(float(olat), float(olon))
-    destination = GeoPoint(float(dlat), float(dlon))
-    departure = int(departure_text)
+    origin = GeoPoint(_ascii_float(olat), _ascii_float(olon))
+    destination = GeoPoint(_ascii_float(dlat), _ascii_float(dlon))
+    departure = _ascii_int(departure_text)
     if kind == "rider":
-        return Rider(int(agent_id), origin, destination, departure)
+        return Rider(_ascii_int(agent_id), origin, destination, departure)
     return Driver(
-        driver_id=int(agent_id),
+        driver_id=_ascii_int(agent_id),
         origin=origin,
         destination=destination,
         departure_time=departure,

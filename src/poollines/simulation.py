@@ -35,7 +35,7 @@ from .matching import (
     enforce_capacity,
     resolve_rider,
 )
-from .planner import Planner, PlanMode
+from .planner import DEFAULT_NUM_ITINERARIES, Planner, PlanMode
 from .scenario import Scenario
 
 DEFAULT_GRAMS_PER_KM = 97.0
@@ -144,7 +144,7 @@ def run_variant(
     planner: Planner,
     journeys: Mapping[int, DriverJourney],
     rules: FeasibilityRules,
-    num_itineraries: int = 10,
+    num_itineraries: int = DEFAULT_NUM_ITINERARIES,
     capacity_enforcement: bool = True,
     workers: int = 1,
     solved: Mapping[PlanMode, list[RiderOutcome]] | None = None,
@@ -202,7 +202,7 @@ def run_comparison(
     model: TravelModel,
     em: EmissionModel,
     variants: tuple[SystemVariant, ...] = tuple(SystemVariant),
-    num_itineraries: int = 10,
+    num_itineraries: int = DEFAULT_NUM_ITINERARIES,
     capacity_enforcement: bool = True,
     workers: int = 1,
 ) -> SimulationResult:

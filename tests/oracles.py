@@ -297,7 +297,9 @@ class ReferencePlanner(Planner):
     every link from a stop some connection arrives at to one some
     connection leaves, as built by :func:`reference_build_footpaths`,
     not only the links some arrival can use; or exactly the
-    ``footpaths`` it is given.  The access and egress walks are
+    ``footpaths`` it is given.  It keeps them as ``reference_footpaths``
+    and looks a link up there by bisection, apart from the fan tables
+    the package's planner holds.  The access and egress walks are
     computed to every stop, not to the stops a ball query finds, and the
     scan relaxes every footpath link of
     an improved arrival with a numpy mask, keeps a footpath label apart
@@ -319,7 +321,15 @@ class ReferencePlanner(Planner):
             footpaths = arriving_to_departing(
                 timetable, reference_build_footpaths(timetable, model, max_walk_km)
             )
-        self.footpaths = footpaths
+        self.reference_footpaths = footpaths
+
+    def _footpath_seconds_km(self, from_idx: int, to_idx: int) -> tuple[int, float]:
+        fp = self.reference_footpaths
+        a, b = int(fp.starts[from_idx]), int(fp.starts[from_idx + 1])
+        k = a + int(np.searchsorted(fp.targets[a:b], to_idx))
+        if k >= b or int(fp.targets[k]) != to_idx:
+            raise KeyError(f"no footpath between stop indices {from_idx} and {to_idx}")
+        return int(fp.seconds[k]), float(fp.km[k])
 
     def _endpoint_links(self, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
         """Walk seconds and km from a request endpoint to every stop.
@@ -380,9 +390,9 @@ class ReferencePlanner(Planner):
         c_arr_s = self._c_arr_s
         c_arr_t = self._c_arr_t
         c_trip = self._c_trip
-        fp_starts = self.footpaths.starts
-        fp_targets = self.footpaths.targets
-        fp_seconds = self.footpaths.seconds
+        fp_starts = self.reference_footpaths.starts
+        fp_targets = self.reference_footpaths.targets
+        fp_seconds = self.reference_footpaths.seconds
 
         conns, times = self._mode_conns[req.mode]
         lo = int(np.searchsorted(times, dep, side="left"))

@@ -428,10 +428,13 @@ _FAULTS = st.sampled_from(sorted(SCHEMA)).flatmap(
 @given(_FAULTS)
 def test_a_config_fault_is_a_config_error_or_a_complete_run(fault):
     # Under 32 riders the run resolves in this process whatever "workers" is.
+    # Capacity is off, so that served sets must nest across the variants;
+    # with these 200 drivers the three served sets differ (5, 6 and 8 riders).
     key, value = fault
     cfg = {
-        "synthetic_city": True, "seed": 7, "workers": 1, "travel": {}, "rules": {}, "emissions": {},
-        "scenario": {"rectangles": "city", "driver_count": 10, "rider_count": 20, "area_km2": 400.0,
+        "synthetic_city": True, "seed": 1, "workers": 1, "capacity_enforcement": False,
+        "travel": {}, "rules": {}, "emissions": {},
+        "scenario": {"rectangles": "city", "driver_count": 200, "rider_count": 20, "area_km2": 400.0,
                      "sim_window": ["10:30:00", "11:30:00"], "stats_window": ["10:30:00", "11:30:00"]},
     }
     *blocks, name = key.split(".")
@@ -454,12 +457,21 @@ def test_a_config_fault_is_a_config_error_or_a_complete_run(fault):
             return
         run = Path(tmp) / "run"
         _, riders = read_agents(run / "agents.csv", 0)
+        window = config.load_config(path).scenario.stats_window
+        inside = {r.rider_id for r in riders if window.contains(r.departure_time)}
         report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+        served = {}
         for variant, figures in report["variants"].items():
             lines = (run / f"outcomes_{variant}.csv").read_text(encoding="utf-8").splitlines()
-            assert sorted(int(line.split(",")[0]) for line in lines[1:]) == [r.rider_id for r in riders]
-            shown = f"{variant}: unserved " in out.getvalue()
-            assert shown == (figures["riders_in_stats_window"] > 0)
+            rows = [line.split(",") for line in lines[1:]]
+            assert sorted(int(row[0]) for row in rows) == [r.rider_id for r in riders]
+            served[variant] = {int(row[0]) for row in rows if row[1] != "unserved"} & inside
+            empty = figures["riders_in_stats_window"] == 0
+            assert (f"{variant}: unserved " in out.getvalue()) == (not empty)
+            shares = figures["modal_split_pct"].values()
+            assert [share is None for share in shares] == [empty] * len(shares)
+        if cfg.get("capacity_enforcement") is False:
+            assert served["no_carpooling"] <= served["current"] <= served["integrated"]
 
 
 def test_zero_agent_counts_are_legal(tmp_path, capsys):
@@ -467,6 +479,26 @@ def test_zero_agent_counts_are_legal(tmp_path, capsys):
     cfg = _write_config(tmp_path / "config.json", scenario=scenario)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "agents.csv")]) == 0
     assert "0 drivers and 0 riders" in capsys.readouterr().out
+
+
+def test_no_modal_split_over_zero_riders(tmp_path, capsys):
+    # Shares over an empty stats window were written as 0.0 % each.
+    scenario = {**_SMALL_SCENARIO, "rider_count": 0}
+    cfg = _write_config(tmp_path / "config.json", scenario=scenario)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    for figures in report["variants"].values():
+        assert figures["riders_in_stats_window"] == 0
+        assert set(figures["modal_split_pct"].values()) == {None}
+    rows = (run / "modal_split.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "variant,mode,percent"
+    assert len(rows) == 1 + 3 * 6 and all(row.endswith(",") for row in rows[1:])
+    copy = tmp_path / "copy"
+    shutil.copytree(run, copy)
+    (copy / "report.json").unlink()
+    assert main(["metrics", "--config", str(cfg), "--dir", str(copy)]) == 0
+    assert (copy / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
 
 def test_commands_needing_a_scenario_fail_without_one(tmp_path, capsys):
@@ -585,6 +617,16 @@ def _drop_column(column: str):
         (_edit_cell(3, "kind", "rid\udcffer"), ":4: byte 0xff is not UTF-8"),
         (_edit_cell(2, "kind", "dri\rver"),
          ":3: unreadable CSV: new-line character seen in unquoted field"),
+        # Numbers are ASCII: int() and float() would read these as 10, 3,
+        # 38000 and 45.5.
+        pytest.param(_edit_cell(6, "id", "1_0"), ":7: invalid literal for int() with base 10: '1_0'",
+                     id="rider-id-underscore"),
+        pytest.param(_edit_cell(7, "id", "٣"), ":8: invalid literal for int() with base 10: '٣'",
+                     id="rider-id-arabic-digit"),
+        pytest.param(_edit_cell(8, "departure_s", "3_8000"),
+                     ":9: invalid literal for int() with base 10: '3_8000'", id="departure-underscore"),
+        pytest.param(_edit_cell(9, "origin_lat", "4_5.5"),
+                     ":10: could not convert string to float: '4_5.5'", id="coordinate-underscore"),
     ],
 )
 def test_malformed_agents_file_is_a_data_error_naming_file_and_line(tmp_path, capsys, edit, where):
@@ -602,6 +644,29 @@ def test_malformed_agents_file_is_a_data_error_naming_file_and_line(tmp_path, ca
     assert rc == 2
     assert err == f"data error: {agents}{where}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        pytest.param("stop_lat", "4_5.5", id="underscore"),
+        pytest.param("stop_lon", "-122.٦", id="arabic-digit"),
+    ],
+)
+def test_non_ascii_stop_coordinate_is_a_data_error(tmp_path, capsys, column, value):
+    # float() would read these as 45.5 and -122.6.
+    write_gtfs(build_synthetic_city(), tmp_path / "feed")
+    stops = tmp_path / "feed" / "stops.txt"
+    lines = stops.read_text(encoding="utf-8").splitlines()
+    _edit_cell(3, column, value)(lines)
+    stops.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = _write_config(
+        tmp_path / "config.json", synthetic_city=False, gtfs_path=str(tmp_path / "feed")
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: stops.txt:4: could not convert string to float: {value!r}\n"
+    )
 
 
 @pytest.mark.parametrize(

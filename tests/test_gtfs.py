@@ -585,6 +585,11 @@ def test_faults_in_other_tables_name_file_line_and_reason(tmp_path):
          "calendar.txt:2: invalid literal for int() with base 10: '2022_01_01'"),
         ("calendar_dates.txt", "service_id,date,exception_type\nWEEKDAYS,20220720,-2\n",
          "calendar_dates.txt:2: invalid literal for int() with base 10: '-2'"),
+        # Coordinates are ASCII: float() would read 45.5 and -122.6.
+        ("stops.txt", "stop_id,stop_name,stop_lat,stop_lon\nA,a,4_5.5,-122.3\n",
+         "stops.txt:2: could not convert string to float: '4_5.5'"),
+        ("stops.txt", "stop_id,stop_name,stop_lat,stop_lon\nA,a,45.0,-122.٦\n",
+         "stops.txt:2: could not convert string to float: '-122.٦'"),
     ]
     for i, (name, text, message) in enumerate(cases):
         feed = _feed_with(tmp_path / str(i), name, text)

@@ -659,7 +659,6 @@ def test_timed_footpaths_equal_the_reference_cut_by_the_rule_bit_for_bit(stops, 
     got = _build_in_blocks(block, t, MODEL, cap, first_arrival, last_departure)
     reference = footpath_links(reference_build_footpaths(t, MODEL, cap))
     _assert_bit_identical(got, footpaths_from_links(t, _usable(reference, first, last)))
-    _assert_bit_identical(got, build_footpaths(t, MODEL, cap).usable(first_arrival, last_departure))
     source = np.repeat(np.arange(len(stops)), np.diff(got.starts))
     assert not np.any(source == got.targets)
     zero = got.km == 0.0
@@ -715,6 +714,17 @@ def test_planner_keeps_exactly_the_readable_footpaths(feed_seed):
     t, links = random_feed(np.random.default_rng(feed_seed), MODEL)
     planner = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
     assert footpath_links(planner.footpaths) == sorted(_usable(links, *_first_and_last(t)))
+
+
+def test_planner_holds_its_links_only_in_the_fan_tables():
+    """No FootpathSet is stored: ``footpaths`` is rebuilt on each read,
+    and TRANSIT's departure times are the connection list itself."""
+    t, links = random_feed(np.random.default_rng(3), MODEL)
+    planner = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
+    assert len(planner.footpaths.targets) > 0
+    assert not any(isinstance(v, FootpathSet) for v in vars(planner).values())
+    assert planner.footpaths is not planner.footpaths
+    assert planner._mode_conns[PlanMode.TRANSIT][1] is planner._c_dep_t
 
 
 @settings(deadline=None, max_examples=60)

@@ -101,7 +101,7 @@ def test_modal_split_percentages():
 
 def test_modal_split_empty_window():
     split = _summary([], {INTEGRATED: []})["variants"]["integrated"]["modal_split_pct"]
-    assert all(v == 0.0 for v in split.values())
+    assert split == {m.value: None for m in RiderMode}
 
 
 def test_occupancy_histogram_counts_idle_drivers():
