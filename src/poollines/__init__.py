@@ -28,7 +28,7 @@ from .drivers import (
     JourneyStopTime,
     MeetingPointSet,
     compute_driver_journeys,
-    prune_journey,
+    pruned_length_km,
     select_meeting_points,
 )
 from .injection import (
@@ -55,8 +55,8 @@ from .matching import (
     Rider,
     RiderMode,
     RiderOutcome,
+    boardings_by_driver,
     classify,
-    collect_used_stoptimes,
     enforce_capacity,
     is_feasible,
     resolve_rider,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -368,29 +368,22 @@ def compute_driver_journeys(
     ]
 
 
-def prune_journey(j: DriverJourney, used_stoptimes: set[int]) -> DriverJourney:
-    """Drop intermediate stoptimes nobody uses.
+def pruned_length_km(j: DriverJourney, boardings: Iterable[tuple[int, int]]) -> float:
+    """The journey's length once intermediate calling points nobody uses are dropped.
 
-    Endpoints always survive.  Retained stoptimes keep their original
-    times; the length is re-measured along the shortened path.
+    ``boardings`` holds the (board, alight) journey indices of the
+    driver's riders.  With no intermediate calling point in use the car
+    drives straight, ``baseline_km``; otherwise the length is re-measured
+    along the endpoints and the calling points in use.
     """
-    keep = [0] + sorted(
-        i for i in used_stoptimes if 0 < i < len(j.stoptimes) - 1
-    ) + [len(j.stoptimes) - 1]
-    stoptimes = tuple(j.stoptimes[i] for i in keep)
-    if len(stoptimes) == 2:
-        length = j.baseline_km
-    else:
-        # Road length scales linearly with great-circle length, so the
-        # shortened path can be re-measured without knowing the circuity.
-        original = [st.location for st in j.stoptimes]
-        kept = [st.location for st in stoptimes]
-        hav_original = sum(haversine_km(a, b) for a, b in zip(original, original[1:]))
-        hav_kept = sum(haversine_km(a, b) for a, b in zip(kept, kept[1:]))
-        length = j.length_km if hav_original == 0 else j.length_km * (hav_kept / hav_original)
-    return DriverJourney(
-        driver_id=j.driver_id,
-        stoptimes=stoptimes,
-        baseline_km=j.baseline_km,
-        length_km=length,
-    )
+    last = len(j.stoptimes) - 1
+    used = sorted({i for pair in boardings for i in pair if 0 < i < last})
+    if not used:
+        return j.baseline_km
+    # Road length scales linearly with great-circle length, so the
+    # shortened path can be re-measured without knowing the circuity.
+    original = [st.location for st in j.stoptimes]
+    kept = [original[i] for i in (0, *used, last)]
+    hav_original = sum(haversine_km(a, b) for a, b in zip(original, original[1:]))
+    hav_kept = sum(haversine_km(a, b) for a, b in zip(kept, kept[1:]))
+    return j.length_km if hav_original == 0 else j.length_km * (hav_kept / hav_original)

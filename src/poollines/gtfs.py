@@ -364,6 +364,14 @@ class CsvRows:
         self.close()
 
 
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """A UTF-8 CSV file of ``header`` then ``rows``, as they are made; lines end in "\\n"."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _check_utf8(stream: BinaryIO, encoding: str, fault: Callable[[int, str], Exception]) -> None:
     """Raise ``fault(line, "byte 0x.. is not UTF-8")`` unless the stream is UTF-8.
 
@@ -654,13 +662,6 @@ def parse_gtfs(path: str | Path, service_date: str | _date | None = None) -> Tim
         source.close()
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_gtfs(t: Timetable, directory: str | Path) -> None:
     """Write a feed to a directory, creating it if needed.
 
@@ -672,7 +673,7 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    _write_csv(
+    write_csv(
         directory / "stops.txt",
         ["stop_id", "stop_name", "stop_lat", "stop_lon"],
         (
@@ -680,7 +681,7 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
             for s in (t.stops[k] for k in sorted(t.stops))
         ),
     )
-    _write_csv(
+    write_csv(
         directory / "routes.txt",
         ["route_id", "route_short_name", "route_long_name", "route_type"],
         (
@@ -688,7 +689,7 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
             for r in (t.routes[k] for k in sorted(t.routes))
         ),
     )
-    _write_csv(
+    write_csv(
         directory / "trips.txt",
         ["route_id", "service_id", "trip_id"],
         (
@@ -696,7 +697,7 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
             for tr in (t.trips[k] for k in sorted(t.trips))
         ),
     )
-    _write_csv(
+    write_csv(
         directory / "stop_times.txt",
         ["trip_id", "arrival_time", "departure_time", "stop_id", "stop_sequence"],
         (
@@ -712,7 +713,7 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
         ),
     )
     if t.calendar:
-        _write_csv(
+        write_csv(
             directory / "calendar.txt",
             ["service_id", *_WEEKDAY_COLUMNS, "start_date", "end_date"],
             (
@@ -721,7 +722,7 @@ def write_gtfs(t: Timetable, directory: str | Path) -> None:
             ),
         )
     if t.calendar_dates:
-        _write_csv(
+        write_csv(
             directory / "calendar_dates.txt",
             ["service_id", "date", "exception_type"],
             (

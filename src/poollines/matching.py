@@ -152,9 +152,13 @@ def journey_stop_indices(j: DriverJourney) -> dict[str, int]:
     return out
 
 
-def _boardings_by_driver(
+def boardings_by_driver(
     outcomes: Iterable[RiderOutcome], journeys: Mapping[int, DriverJourney]
 ) -> dict[int, list[tuple[int, int]]]:
+    """Per boarded driver, each ride leg's (board, alight) journey indices.
+
+    Legs are listed in outcome order; a driver nobody boards has no key.
+    """
     index_cache: dict[int, dict[str, int]] = {}
     pairs: dict[int, list[tuple[int, int]]] = {}
     for o in outcomes:
@@ -190,7 +194,7 @@ def enforce_capacity(
     outcomes, then all affected riders become unserved at once.  Riders
     not touching a voided driver keep their outcome object unchanged.
     """
-    pairs = _boardings_by_driver(outcomes, journeys)
+    pairs = boardings_by_driver(outcomes, journeys)
     voided = frozenset(
         d for d, p in pairs.items() if max_onboard(journeys[d], p) > capacities[d]
     )
@@ -204,19 +208,3 @@ def enforce_capacity(
             adjusted.append(o)
     return adjusted, voided
 
-
-def collect_used_stoptimes(
-    outcomes: Iterable[RiderOutcome], journeys: Mapping[int, DriverJourney]
-) -> dict[int, set[int]]:
-    """Intermediate journey stoptimes where surviving riders board or alight.
-
-    Keys cover every driver, so unused journeys map to an empty set.
-    """
-    used: dict[int, set[int]] = {d: set() for d in journeys}
-    for d, pairs in _boardings_by_driver(outcomes, journeys).items():
-        last = len(journeys[d].stoptimes) - 1
-        for board, alight in pairs:
-            for i in (board, alight):
-                if 0 < i < last:
-                    used[d].add(i)
-    return used

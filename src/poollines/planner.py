@@ -22,7 +22,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import NamedTuple
@@ -791,6 +791,8 @@ class Planner:
             )
             # How was the boarding stop reached?  Prefer walking straight
             # from the origin, then a same-stop change, then a footpath.
+            # A change is from a vehicle scanned before the boarding; a
+            # later one may be this trip's own return to sb.
             k = access.position(sb)
             if k is not None and dep + access.seconds[k] <= tb:
                 legs_rev.append(
@@ -805,7 +807,7 @@ class Planner:
                     )
                 )
                 break
-            if veh_conn[sb] >= 0 and arr_veh[sb] + dw <= tb:
+            if 0 <= veh_conn[sb] < bi and arr_veh[sb] + dw <= tb:
                 stop = sb
                 continue
             # Both failed, so a footpath reached sb by tb; foot_prev holds
@@ -828,7 +830,7 @@ class Planner:
             )
             stop = q
 
-        legs = self._merge_same_trip(list(reversed(legs_rev)))
+        legs = legs_rev[::-1]
         walk_km_total = sum(l.distance_km for l in legs if l.kind == "walk")
         durations = sum(l.duration_s for l in legs)
         return Itinerary(
@@ -838,23 +840,6 @@ class Planner:
             total_walk_km=walk_km_total,
             total_wait_s=best - dep - durations,
         )
-
-    @staticmethod
-    def _merge_same_trip(legs: list[Leg]) -> list[Leg]:
-        out: list[Leg] = []
-        for leg in legs:
-            if out and leg.trip_id is not None and out[-1].trip_id == leg.trip_id:
-                prev = out[-1]
-                out[-1] = replace(
-                    prev,
-                    end=leg.end,
-                    distance_km=prev.distance_km + leg.distance_km,
-                    to_point=leg.to_point,
-                    to_stop=leg.to_stop,
-                )
-            else:
-                out.append(leg)
-        return out
 
     # ---- public API -------------------------------------------------
 

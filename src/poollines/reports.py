@@ -8,7 +8,6 @@ the tables and summarises them with the same function, no replanning.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from bisect import bisect_left
@@ -17,10 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .drivers import DriverJourney
+from .drivers import DriverJourney, pruned_length_km
 from .geo import TravelModel, road_km
-from .matching import Rider, RiderMode, RiderOutcome, _boardings_by_driver, max_onboard
-from .scenario import Scenario, Window, read_agents, read_csv, write_agents
+from .gtfs import write_csv
+from .matching import Rider, RiderMode, RiderOutcome, max_onboard
+from .scenario import Scenario, ScenarioError, Window, read_agents, read_csv, write_agents
 from .simulation import EmissionModel, SimulationReport, SimulationResult, SystemVariant
 
 
@@ -88,19 +88,17 @@ def journey_records(
 ) -> tuple[JourneyRecord, ...]:
     """Per driver, in id order: lengths, the peak load over the full journey, voiding.
 
-    A driver nobody boards has a peak load of 0.
+    Both the pruned length and the peak load come from the report's
+    boardings.  A driver nobody boards drives its baseline with a peak
+    load of 0.
     """
-    boardings = _boardings_by_driver(report.outcomes, journeys)
+    boardings = report.boardings
     return tuple(
         JourneyRecord(
-            d,
-            journeys[d].baseline_km,
-            journeys[d].length_km,
-            report.pruned_journeys[d].length_km,
-            max_onboard(journeys[d], boardings[d]) if d in boardings else 0,
-            d in report.voided_drivers,
+            d, j.baseline_km, j.length_km, pruned_length_km(j, boardings.get(d, ())),
+            max_onboard(j, boardings[d]) if d in boardings else 0, d in report.voided_drivers,
         )
-        for d in sorted(journeys)
+        for d, j in sorted(journeys.items())
     )
 
 
@@ -222,11 +220,9 @@ def _cell(value):
     return value
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+def _write_table(path: Path, header: list[str], rows: Iterable) -> None:
+    """A CSV file of ``rows``, each cell written as :func:`_cell` gives it."""
+    write_csv(path, header, ([_cell(v) for v in row] for row in rows))
 
 
 def write_report(outdir: str | Path, summary: dict) -> None:
@@ -300,22 +296,22 @@ def write_tables(outdir: Path, records: RunRecords, summary: dict) -> None:
                 (outdir / f"{prefix}_{variant.value}.csv").unlink(missing_ok=True)
     for variant, outcomes in records.outcomes.items():
         figures = summary["variants"][variant.value]
-        _write_csv(outdir / f"outcomes_{variant.value}.csv", _OUTCOME_HEADER, outcomes)
-        _write_csv(
+        _write_table(outdir / f"outcomes_{variant.value}.csv", _OUTCOME_HEADER, outcomes)
+        _write_table(
             outdir / f"journeys_{variant.value}.csv", _JOURNEY_HEADER, records.journeys[variant]
         )
-        _write_csv(
+        _write_table(
             outdir / f"occupancy_{variant.value}.csv",
             ["occupancy", "drivers"],
             figures["occupancy_hist"].items(),
         )
         for name in ("detour_ratio", "detour_km"):
-            _write_csv(
+            _write_table(
                 outdir / f"{name}_{variant.value}.csv",
                 ["bin", "drivers"],
                 figures[f"{name}_hist"].items(),
             )
-    _write_csv(
+    _write_table(
         outdir / "modal_split.csv",
         ["variant", "mode", "percent"],
         [
@@ -348,9 +344,7 @@ def _journey_record(cells: list[str]) -> JourneyRecord:
     )
 
 
-def _outcome_record(
-    cells: list[str], rider_ids: set[int], driver_ids: set[int], journeys_file: str
-) -> OutcomeRecord:
+def _outcome_record(cells: list[str], driver_ids: set[int], journeys_file: str) -> OutcomeRecord:
     rider_id, mode, depart, arrive, walk_km, wait_s, drivers = cells
     record = OutcomeRecord(
         int(rider_id),
@@ -361,36 +355,58 @@ def _outcome_record(
         _optional(int, wait_s),
         tuple(int(d) for d in drivers.split(";")) if drivers else (),
     )
-    if record.rider_id not in rider_ids:
-        raise ValueError(f"rider {record.rider_id} is not in agents.csv")
     for d in record.driver_ids:
         if d not in driver_ids:
             raise ValueError(f"driver {d} is not in {journeys_file}")
     return record
 
 
+def _one_row_each(path: Path, header: list[str], parse, kind: str, agent_ids: set[int]) -> tuple:
+    """``read_csv`` of a table whose records, keyed by their first field,
+    are one per ``kind`` of agents.csv, each exactly once."""
+    seen: set[int] = set()
+
+    def once(cells: list[str]):
+        record = parse(cells)
+        if record[0] not in agent_ids:
+            raise ValueError(f"{kind} {record[0]} is not in agents.csv")
+        if record[0] in seen:
+            raise ValueError(f"repeated {kind} id {record[0]}")
+        seen.add(record[0])
+        return record
+
+    records = read_csv(path, header, once)
+    missing = agent_ids - seen
+    if missing:
+        raise ScenarioError(f"{path}: no row for {kind} {min(missing)} of agents.csv")
+    return records
+
+
 def read_records(outdir: str | Path) -> RunRecords:
     """The records a simulate run wrote to ``outdir``.
 
-    A cell that does not parse, a mode that is not a rider mode, and a
-    rider or driver the other tables lack raise ``ScenarioError``
-    naming the file and line.
+    A cell that does not parse, a mode that is not a rider mode, a rider
+    or driver the other tables lack and a repeated rider or driver raise
+    ``ScenarioError`` naming the file and line; an agents.csv rider or
+    driver a table lacks raises one naming the file and the id.
     """
     outdir = Path(outdir)
-    _, riders = read_agents(outdir / "agents.csv", 0)
+    drivers, riders = read_agents(outdir / "agents.csv", 0)
     rider_ids = {r.rider_id for r in riders}
+    agent_driver_ids = {d.driver_id for d in drivers}
     outcomes, journeys = {}, {}
     for variant in SystemVariant:
         path = outdir / f"outcomes_{variant.value}.csv"
         if not path.is_file():
             continue
         journeys_file = f"journeys_{variant.value}.csv"
-        journeys[variant] = read_csv(outdir / journeys_file, _JOURNEY_HEADER, _journey_record)
+        journeys[variant] = _one_row_each(
+            outdir / journeys_file, _JOURNEY_HEADER, _journey_record, "driver", agent_driver_ids
+        )
         driver_ids = {j.driver_id for j in journeys[variant]}
-        outcomes[variant] = read_csv(
-            path,
-            _OUTCOME_HEADER,
-            lambda cells: _outcome_record(cells, rider_ids, driver_ids, journeys_file),
+        outcomes[variant] = _one_row_each(
+            path, _OUTCOME_HEADER, lambda cells: _outcome_record(cells, driver_ids, journeys_file),
+            "rider", rider_ids,
         )
     return RunRecords(riders, outcomes, journeys)
 

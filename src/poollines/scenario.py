@@ -8,7 +8,6 @@ seed and per-agent substreams, so regeneration is order-independent.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .drivers import DEFAULT_SEAT_CAPACITY, Driver, agent_streams
 from .geo import GeoPoint
-from .gtfs import CsvRows, _ascii_float, _ascii_int, format_coordinate, parse_gtfs_time
+from .gtfs import CsvRows, _ascii_float, _ascii_int, format_coordinate, parse_gtfs_time, write_csv
 from .matching import Rider
 
 # Metres of latitude per degree, and of longitude per degree at the
@@ -201,27 +200,21 @@ _AGENT_HEADER = ["kind", "id", "origin_lat", "origin_lon", "destination_lat", "d
 
 def write_agents(path: str | Path, scenario: Scenario) -> None:
     """Agents file: one row per driver and rider, coordinates lossless."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_AGENT_HEADER)
-        for d in scenario.drivers:
-            writer.writerow(
-                [
-                    "driver", d.driver_id,
-                    format_coordinate(d.origin.lat), format_coordinate(d.origin.lon),
-                    format_coordinate(d.destination.lat), format_coordinate(d.destination.lon),
-                    d.departure_time,
-                ]
-            )
-        for r in scenario.riders:
-            writer.writerow(
-                [
-                    "rider", r.rider_id,
-                    format_coordinate(r.origin.lat), format_coordinate(r.origin.lon),
-                    format_coordinate(r.destination.lat), format_coordinate(r.destination.lon),
-                    r.departure_time,
-                ]
-            )
+    agents = [("driver", d.driver_id, d) for d in scenario.drivers]
+    agents += [("rider", r.rider_id, r) for r in scenario.riders]
+    write_csv(
+        path,
+        _AGENT_HEADER,
+        (
+            [
+                kind, agent_id,
+                format_coordinate(a.origin.lat), format_coordinate(a.origin.lon),
+                format_coordinate(a.destination.lat), format_coordinate(a.destination.lon),
+                a.departure_time,
+            ]
+            for kind, agent_id, a in agents
+        ),
+    )
 
 
 def read_csv(path: str | Path, header: list[str], parse: Callable[[list[str]], T]) -> tuple[T, ...]:
@@ -258,12 +251,21 @@ def read_agents(
 
     Declaration time and seat capacity are not stored in the file; they
     come from the run configuration.  A missing column, a blank or
-    non-numeric cell, an unknown kind and bytes that are not UTF-8 raise
-    :class:`ScenarioError` naming the file and line.
+    non-numeric cell, an unknown kind, a driver or rider id given twice
+    and bytes that are not UTF-8 raise :class:`ScenarioError` naming the
+    file and line.
     """
-    agents = read_csv(
-        path, _AGENT_HEADER, lambda cells: _agent(cells, declaration_time, seat_capacity)
-    )
+    seen: set[tuple[str, int]] = set()
+
+    def agent(cells: list[str]) -> Driver | Rider:
+        a = _agent(cells, declaration_time, seat_capacity)
+        key = (cells[0], a.driver_id if isinstance(a, Driver) else a.rider_id)
+        if key in seen:
+            raise ValueError(f"repeated {key[0]} id {key[1]}")
+        seen.add(key)
+        return a
+
+    agents = read_csv(path, _AGENT_HEADER, agent)
     return (
         tuple(a for a in agents if isinstance(a, Driver)),
         tuple(a for a in agents if isinstance(a, Rider)),

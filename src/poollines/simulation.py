@@ -24,14 +24,14 @@ from typing import Mapping
 
 import multiprocessing
 
-from .drivers import Driver, DriverJourney, prune_journey
+from .drivers import DriverJourney
 from .geo import TravelModel
 from .matching import (
     FeasibilityRules,
     Rider,
     RiderOutcome,
     better_outcome,
-    collect_used_stoptimes,
+    boardings_by_driver,
     enforce_capacity,
     resolve_rider,
 )
@@ -72,11 +72,13 @@ class EmissionModel:
 
 @dataclass
 class SimulationReport:
-    """One variant's final outcomes, in rider order, and what they leave of the drivers."""
+    """One variant's final outcomes, in rider order, and their
+    :func:`~poollines.matching.boardings_by_driver`: who rides which driver
+    from which journey index to which.  Occupancy and pruned lengths come from it."""
 
     variant: SystemVariant
     outcomes: tuple[RiderOutcome, ...]
-    pruned_journeys: dict[int, DriverJourney]
+    boardings: dict[int, list[tuple[int, int]]]
     voided_drivers: frozenset[int]
 
 
@@ -133,11 +135,6 @@ def _resolve_all(
     return {mode: [row[k] for row in rows] for k, mode in enumerate(arms)}
 
 
-def _unboarded(journeys: Mapping[int, DriverJourney]) -> dict[int, DriverJourney]:
-    """Each driver's journey as pruning leaves it when nobody boards."""
-    return {d: prune_journey(j, set()) for d, j in journeys.items()}
-
-
 def run_variant(
     scenario: Scenario,
     variant: SystemVariant,
@@ -148,23 +145,18 @@ def run_variant(
     capacity_enforcement: bool = True,
     workers: int = 1,
     solved: Mapping[PlanMode, list[RiderOutcome]] | None = None,
-    unboarded: Mapping[int, DriverJourney] | None = None,
 ) -> SimulationReport:
-    """Resolve every rider under one variant, enforce seats and prune.
+    """Resolve every rider under one variant, enforce seats and table the boardings.
 
-    ``solved`` holds every rider's outcome per planner mode, and
-    ``unboarded`` every driver's journey cut to its endpoints, as a
-    comparison shares them; without them the variant resolves its own
-    arms and cuts its own journeys.  All riders are resolved: they
-    occupy seats and shape pruning.
+    ``solved`` holds every rider's outcome per planner mode, as a
+    comparison shares them; without it the variant resolves its own
+    arms.  All riders are resolved: they occupy seats.
     """
     arms = _VARIANT_ARMS[variant]
     if solved is None:
         solved = _resolve_all(
             planner, scenario.riders, rules, arms, num_itineraries, workers
         )
-    if unboarded is None:
-        unboarded = _unboarded(journeys)
     outcomes = [
         functools.reduce(better_outcome, pair) for pair in zip(*(solved[m] for m in arms))
     ]
@@ -175,12 +167,9 @@ def run_variant(
     else:
         voided = frozenset()
 
-    used = collect_used_stoptimes(outcomes, journeys)
-    pruned = {
-        d: prune_journey(j, used[d]) if used[d] else unboarded[d] for d, j in journeys.items()
-    }
-
-    return SimulationReport(variant, tuple(outcomes), pruned, voided)
+    return SimulationReport(
+        variant, tuple(outcomes), boardings_by_driver(outcomes, journeys), voided
+    )
 
 
 @dataclass
@@ -208,16 +197,13 @@ def run_comparison(
 ) -> SimulationResult:
     """Run the requested variants.
 
-    Each planner mode the variants need is solved once per rider, and
-    each driver's journey is cut to its endpoints once, for the drivers
-    a variant leaves unboarded.  The metrics are left to ``reports``,
-    outside the comparison.
+    Each planner mode the variants need is solved once per rider.  The
+    metrics are left to ``reports``, outside the comparison.
     """
     modes = tuple(m for m in PlanMode if any(m in _VARIANT_ARMS[v] for v in variants))
     solved = _resolve_all(
         planner, scenario.riders, rules, modes, num_itineraries, workers
     )
-    unboarded = _unboarded(journeys)
     reports = {
         v: run_variant(
             scenario, v, planner, journeys, rules,
@@ -225,7 +211,6 @@ def run_comparison(
             capacity_enforcement=capacity_enforcement,
             workers=workers,
             solved=solved,
-            unboarded=unboarded,
         )
         for v in variants
     }

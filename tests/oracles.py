@@ -484,6 +484,8 @@ class ReferencePlanner(Planner):
             )
             # How was the boarding stop reached?  Prefer walking straight
             # from the origin, then a same-stop change, then a footpath.
+            # A change is from a vehicle scanned before the boarding; a
+            # later one may be this trip's own return to sb.
             if access_s[sb] != math.inf and dep + access_s[sb] <= tb:
                 legs_rev.append(
                     Leg(
@@ -497,7 +499,7 @@ class ReferencePlanner(Planner):
                     )
                 )
                 break
-            if veh_conn[sb] >= 0 and arr_veh[sb] + dw <= tb:
+            if 0 <= veh_conn[sb] < bi and arr_veh[sb] + dw <= tb:
                 stop = sb
                 continue
             q = int(foot_prev[sb])
@@ -518,7 +520,7 @@ class ReferencePlanner(Planner):
             )
             stop = q
 
-        legs = self._merge_same_trip(list(reversed(legs_rev)))
+        legs = legs_rev[::-1]
         walk_km_total = sum(l.distance_km for l in legs if l.kind == "walk")
         durations = sum(l.duration_s for l in legs)
         return Itinerary(

@@ -586,6 +586,40 @@ def test_malformed_run_table_is_a_data_error_naming_file_and_line(
     assert (run / "report.json").read_bytes() == report
 
 
+@pytest.mark.parametrize(
+    "table, kind, repeat",
+    [
+        pytest.param("outcomes_current.csv", "rider", True, id="repeated-outcome-row"),
+        pytest.param("journeys_current.csv", "driver", True, id="repeated-journey-row"),
+        pytest.param("outcomes_current.csv", "rider", False, id="missing-outcome-row"),
+        pytest.param("journeys_integrated.csv", "driver", False, id="missing-journey-row"),
+    ],
+)
+def test_run_table_without_one_row_per_agent_is_a_data_error(
+    workspace, tmp_path, capsys, table, kind, repeat
+):
+    # Without report.json to compare with, a repeated row would count an
+    # agent twice and a missing one not at all.
+    root, cfg = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run_a", run)
+    (run / "report.json").unlink()
+    path = run / table
+    lines = path.read_text(encoding="utf-8").splitlines()
+    agent_id = int(lines[2].split(",")[0])
+    if repeat:
+        lines.append(lines[2])
+        want = f"{path}:{len(lines)}: repeated {kind} id {agent_id}"
+    else:
+        del lines[2]
+        want = f"{path}: no row for {kind} {agent_id} of agents.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(cfg), "--dir", str(run)]) == 2
+    assert capsys.readouterr().err == f"data error: {want}\n"
+    assert not (run / "report.json").exists()
+
+
 def _edit_cell(row: int, column: str, value: str):
     """A recipe that sets one cell of a CSV file's lines (row 0 is the header)."""
     def edit(lines: list[str]) -> None:
@@ -627,6 +661,10 @@ def _drop_column(column: str):
                      ":9: invalid literal for int() with base 10: '3_8000'", id="departure-underscore"),
         pytest.param(_edit_cell(9, "origin_lat", "4_5.5"),
                      ":10: could not convert string to float: '4_5.5'", id="coordinate-underscore"),
+        # Journeys are keyed by driver and outcomes by rider, so a second
+        # agent of an id would silently replace or double the first.
+        pytest.param(_edit_cell(2, "id", "1"), ":3: repeated driver id 1", id="repeated-driver-id"),
+        pytest.param(_edit_cell(7, "id", "1"), ":8: repeated rider id 1", id="repeated-rider-id"),
     ],
 )
 def test_malformed_agents_file_is_a_data_error_naming_file_and_line(tmp_path, capsys, edit, where):

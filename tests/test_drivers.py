@@ -14,7 +14,7 @@ from poollines.drivers import (
     MeetingPointSet,
     agent_streams,
     compute_driver_journeys,
-    prune_journey,
+    pruned_length_km,
     select_meeting_points,
 )
 from poollines.geo import GeoPoint, TravelModel
@@ -348,25 +348,17 @@ def test_prune_keeps_used_stops():
     points = _points(("MO", 0.003, 0.0125), ("MD", 0.003, 0.0575))
     j = compute_driver_journeys([_driver()], points, MODEL, seed=0)[0]
     assert len(j.stoptimes) == 4
+    at = [st.location for st in j.stoptimes]
 
-    only_first = prune_journey(j, {1})
-    assert [st.stop_ref for st in only_first.stoptimes] == [None, "MO", None]
-    assert only_first.length_km == pytest.approx(
-        reference_path_km([st.location for st in only_first.stoptimes], MODEL), rel=1e-6
+    # A rider boarding at MO and leaving at the destination keeps MO only.
+    assert pruned_length_km(j, [(1, 3)]) == pytest.approx(
+        reference_path_km([at[0], at[1], at[3]], MODEL), rel=1e-6
     )
-    # Retained calling points keep their original schedule.
-    assert only_first.stoptimes[1] == j.stoptimes[1]
-    assert only_first.stoptimes[2] == j.stoptimes[3]
-
-    nothing = prune_journey(j, set())
-    assert len(nothing.stoptimes) == 2
-    assert nothing.length_km == j.baseline_km
-
-    both = prune_journey(j, {1, 2})
-    assert both == j
-
-    endpoints_are_ignored = prune_journey(j, {0, 3})
-    assert len(endpoints_are_ignored.stoptimes) == 2
+    assert pruned_length_km(j, []) == j.baseline_km
+    assert pruned_length_km(j, [(1, 2)]) == j.length_km
+    assert pruned_length_km(j, [(1, 3), (0, 2)]) == j.length_km
+    # Endpoints alone keep no calling point.
+    assert pruned_length_km(j, [(0, 3)]) == j.baseline_km
 
 
 def test_validation():

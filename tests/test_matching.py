@@ -1,6 +1,6 @@
 import pytest
 
-from poollines.drivers import compute_driver_journeys
+from poollines.drivers import compute_driver_journeys, pruned_length_km
 from poollines.geo import GeoPoint, TravelModel, walk_seconds
 from poollines.injection import pool_trip_id
 from poollines.matching import (
@@ -9,8 +9,8 @@ from poollines.matching import (
     RiderMode,
     RiderOutcome,
     better_outcome,
+    boardings_by_driver,
     classify,
-    collect_used_stoptimes,
     drivers_used,
     enforce_capacity,
     is_feasible,
@@ -296,14 +296,17 @@ def test_capacity_is_a_single_pass():
     assert survivors == []
 
 
-def test_collect_used_stoptimes_intermediates_only():
+def test_endpoint_boardings_leave_the_baseline():
     journeys = {7: _journey7(), 9: _journey7()}
+    j = journeys[7]
     outcomes = [
-        _pool_outcome(1, 7, "MO", "MD"),
-        _pool_outcome(2, 7, "MD", "DRIVER_destination_7"),
+        _pool_outcome(1, 7, "DRIVER_origin_7", "DRIVER_destination_7"),
+        _pool_outcome(2, 7, "DRIVER_origin_7", "MO"),
     ]
-    used = collect_used_stoptimes(outcomes, journeys)
-    assert used == {7: {1, 2}, 9: set()}
+    boardings = boardings_by_driver(outcomes, journeys)
+    assert boardings == {7: [(0, 3), (0, 1)]}
+    assert pruned_length_km(j, boardings[7][:1]) == j.baseline_km
+    assert pruned_length_km(j, boardings[7]) > j.baseline_km
 
 
 def test_rider_validation():

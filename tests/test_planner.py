@@ -1,3 +1,4 @@
+import signal
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,40 @@ def test_footpath_to_a_stop_left_before_the_arrival_is_not_ridden():
         )
         reference = ReferencePlanner(t, MODEL, transfer_s=transfer_s)
         assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
+
+
+def test_a_trip_back_at_its_boarding_stop_is_no_change_onto_itself():
+    # U reaches Q at 1300, and Q2 is a 148 s walk on.  T leaves Q2 at
+    # 1600, is back at Q2 at 1600 by way of D, and runs on to R.  With
+    # no change buffer, T's own return to Q2 arrives by T's boarding but
+    # is no change onto T: taking it as one loops forever, hence the 1 s
+    # limit.
+    d = GeoPoint(45.05, -122.268)
+    t = make_timetable(
+        {"A": P, "Q": Q, "Q2": Q2, "D": d, "R": R},
+        {
+            "U": [("A", 1000, 1000), ("Q", 1300, 1300)],
+            "T": [("Q2", 1600, 1600), ("D", 1600, 1600), ("Q2", 1600, 1600), ("R", 2500, 2500)],
+        },
+    )
+    req = PlanRequest(P, R, 900)
+
+    def too_slow(*_):
+        raise TimeoutError("earliest_arrival did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        it = Planner(t, MODEL, transfer_s=0).earliest_arrival(req)
+        reference = ReferencePlanner(t, MODEL, transfer_s=0).earliest_arrival(req)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert it == reference
+    assert it.arrive == 2500
+    assert [(l.kind, l.from_stop, l.to_stop) for l in it.legs[1:-1]] == [
+        ("transit", "A", "Q"), ("walk", "Q", "Q2"), ("transit", "Q2", "R"),
+    ]
 
 
 def test_equal_footpath_arrivals_keep_the_first_source():

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poollines.drivers import Driver
 from poollines.geo import EARTH_RADIUS_KM, GeoPoint, TravelModel
 from poollines.injection import pool_trip_id
-from poollines.matching import Rider, RiderMode, RiderOutcome, drivers_used
+from poollines.matching import Rider, RiderMode, RiderOutcome, boardings_by_driver, drivers_used
 from poollines.planner import Itinerary, Leg
 from poollines.reports import (
     JourneyRecord,
@@ -115,7 +116,9 @@ def test_occupancy_histogram_counts_idle_drivers():
     ]
 
     def histogram(outcomes):
-        report = SimulationReport(INTEGRATED, tuple(outcomes), journeys, frozenset())
+        report = SimulationReport(
+            INTEGRATED, tuple(outcomes), boardings_by_driver(outcomes, journeys), frozenset()
+        )
         summary = _summary(
             [_rider(i) for i in (1, 2, 3)],
             {INTEGRATED: outcomes},
@@ -238,7 +241,7 @@ def test_records_of_a_comparison_are_typed():
 
     journeys = {7: _journey7()}
     outcomes = (_pool_outcome(1, 7, "MO", "MD"), _outcome(2, RiderMode.UNSERVED))
-    report = SimulationReport(INTEGRATED, outcomes, journeys, frozenset({7}))
+    report = SimulationReport(INTEGRATED, outcomes, {7: [(1, 2)]}, frozenset({7}))
     assert outcome_records(outcomes) == (
         OutcomeRecord(1, RiderMode.CARPOOLING, 0, 100, 0.0, 0, (7,)),
         OutcomeRecord(2, RiderMode.UNSERVED, None, None, None, None, ()),
@@ -297,7 +300,11 @@ def _run_records(draw):
 @given(records=_run_records())
 def test_records_survive_the_files_and_summarise_identically(records):
     summary = summarise(records, STATS, MODEL, EmissionModel())
-    scenario = Scenario(ScenarioConfig(city_rectangles(), 0.0, 0.0), (), records.riders)
+    # agents.csv holds the drivers of the journey tables; their trips are not read back.
+    driver_ids = sorted({j.driver_id for table in records.journeys.values() for j in table})
+    home = GeoPoint(45.0, -122.3)
+    drivers = tuple(Driver(d, home, home, 0, 0) for d in driver_ids)
+    scenario = Scenario(ScenarioConfig(city_rectangles(), 0.0, 0.0), drivers, records.riders)
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp)
         write_agents(outdir / "agents.csv", scenario)

@@ -1,6 +1,6 @@
 import pytest
 
-from poollines.drivers import compute_driver_journeys, prune_journey, select_meeting_points
+from poollines.drivers import compute_driver_journeys, select_meeting_points
 from poollines.geo import TravelModel
 from poollines.gtfs import with_service_date
 from poollines.injection import inject_poollines
@@ -186,23 +186,6 @@ def test_comparison_solves_each_rider_mode_once(small_world, monkeypatch, varian
     assert len(set(calls)) == len(calls)
 
 
-def test_comparison_cuts_each_journey_to_its_endpoints_once(small_world, monkeypatch):
-    _, scenario, journeys, planner = small_world
-    cuts: list[int] = []
-
-    def counting(j, used):
-        if not used:
-            cuts.append(j.driver_id)
-        return prune_journey(j, used)
-
-    monkeypatch.setattr(simulation, "prune_journey", counting)
-    result = run_comparison(scenario, planner, journeys, RULES, MODEL, EmissionModel(), workers=1)
-    assert sorted(cuts) == sorted(journeys)
-    # Some driver is boarded in one variant and left alone in another.
-    boarded = [{d for d, j in r.pruned_journeys.items() if len(j.stoptimes) > 2} for r in result.reports.values()]
-    assert set.union(*boarded) and set.union(*boarded) != set.intersection(*boarded)
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 def test_comparison_equals_variants_run_alone(small_world, workers):
     _, scenario, journeys, planner = small_world
@@ -219,5 +202,8 @@ def test_comparison_equals_variants_run_alone(small_world, workers):
         shared = result.reports[v]
         assert shared.outcomes == alone.outcomes
         assert shared.voided_drivers == alone.voided_drivers
-        assert shared.pruned_journeys == alone.pruned_journeys
+        assert shared.boardings == alone.boardings
         assert _figures(scenario, journeys, shared) == _figures(scenario, journeys, alone)
+    # Some driver is boarded in one variant and left alone in another.
+    boarded = [set(r.boardings) for r in result.reports.values()]
+    assert set.union(*boarded) and set.union(*boarded) != set.intersection(*boarded)
