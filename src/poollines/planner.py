@@ -14,7 +14,9 @@ transfer needs no buffer beyond its own walking time.
 
 The scan, the footpaths each mode keeps and how they are built, how one
 solve seeds the next, and a request's set-up are described on
-:class:`Planner`.
+:class:`Planner`.  Stops within walking range of a stop or a point are
+found by a chord index over unit vectors (:class:`_ChordIndex`), in
+numpy alone.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geo import (
     EARTH_RADIUS_KM,
@@ -152,10 +153,101 @@ def _unit_vectors(lat_r, lon_r, xp=np) -> tuple:
 
 def _walk_chord(model: TravelModel, max_walk_km: float) -> float:
     """The unit-sphere chord of the widest walkable angle.  The margin
-    covers the rounding of the chords a KD-tree over unit vectors
-    measures, so every pair in walking range is within it."""
+    covers the rounding of the chords :class:`_ChordIndex` measures, so
+    every pair in walking range is within it."""
     angle = min(math.pi, max(0.0, max_walk_km / model.circuity / EARTH_RADIUS_KM))
     return 2.0 * math.sin(angle / 2.0) * (1.0 + 1e-9) + 1e-12
+
+
+# Points of one row that :meth:`_ChordIndex.pairs` tests against the
+# same slices.  A run's slices widen with its extent along the row, and
+# each run costs a few numpy calls.
+_PAIR_RUN = 32
+
+
+class _ChordIndex:
+    """Unit vectors laid out to find those within a chord of a point.
+
+    The points, one a row, are cut into rows ``reach`` wide along the
+    axis where they spread widest, and ``order`` sorts them by row and
+    then along the second widest axis.  A pair whose squared chord,
+    summed as ``(dx² + dy²) + dz²``, is at most ``chord²`` differs by
+    less than ``reach`` along every axis, rounding included.  So the
+    points within the chord of p lie in the rows that p ± ``reach``
+    along the widest axis touches, at most three, and in each within
+    ``reach`` of p along the second: one contiguous slice of ``order``
+    a row.
+    """
+
+    def __init__(self, xyz: np.ndarray, chord: float):
+        self._chord2 = chord * chord
+        self._reach = chord * (1.0 + 1e-9) + 1e-15
+        by_axis = np.ascontiguousarray(xyz.T)
+        spread = by_axis.max(axis=1) - by_axis.min(axis=1) if len(xyz) else np.zeros(3)
+        self._v, self._u = np.argsort(spread, kind="stable")[1:].tolist()
+        self._u0 = float(by_axis[self._u].min()) if len(xyz) else 0.0
+        self.order = self.sort(xyz)
+        # The coordinates by axis, in index order.
+        self._xyz = by_axis.take(self.order, axis=1)
+        rows = self._rows_of(self._xyz[self._u])
+        edges = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
+        # Each row's range of index positions.
+        self._row_span = {rows[lo]: (lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi}
+        self._vs = self._xyz[self._v].tolist()
+
+    def _rows_of(self, u: np.ndarray) -> np.ndarray:
+        return np.floor((u - self._u0) / self._reach).astype(np.int64)
+
+    def sort(self, xyz: np.ndarray) -> np.ndarray:
+        """The permutation that puts the points ``xyz`` in index order."""
+        order = np.argsort(xyz[:, self._v], kind="stable")
+        return order[np.argsort(self._rows_of(xyz[order, self._u]), kind="stable")]
+
+    def _slices(self, u_lo: float, u_hi: float, v_lo: float, v_hi: float) -> list:
+        """Ranges of index positions, one a row, of the points within
+        ``reach`` of the box [u_lo, u_hi] × [v_lo, v_hi] along both axes.
+        The rows are :meth:`_rows_of`'s arithmetic in Python floats."""
+        vs, reach, u0 = self._vs, self._reach, self._u0
+        first = math.floor((u_lo - reach - u0) / reach)
+        last = math.floor((u_hi + reach - u0) / reach)
+        slices = []
+        for row in range(first, last + 1):
+            if row in self._row_span:
+                a, b = self._row_span[row]
+                slices.append(
+                    (bisect_left(vs, v_lo - reach, a, b), bisect_right(vs, v_hi + reach, a, b))
+                )
+        return slices
+
+    def near(self, p: tuple) -> np.ndarray:
+        """Every point within the chord of unit vector ``p``, once, among
+        others within ``reach`` of it along the two axes."""
+        u, v = p[self._u], p[self._v]
+        slices = self._slices(u, u, v, v)
+        return np.concatenate([self.order[a:b] for a, b in slices] or [self.order[:0]])
+
+    def pairs(self, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (i, j) with point j within the chord of ``xyz[i]``, once
+        each.  The points go in runs of at most ``_PAIR_RUN`` consecutive
+        ones of one row, each against the points near its bounding box:
+        in index order, a run reads three short slices."""
+        if not len(xyz):
+            return self.order[:0], self.order[:0]
+        u, v = xyz[:, self._u], xyz[:, self._v]
+        edges = [0, *(np.flatnonzero(np.diff(self._rows_of(u))) + 1).tolist(), len(xyz)]
+        runs = [k for lo, hi in zip(edges, edges[1:]) for k in range(lo, hi, _PAIR_RUN)]
+        bounds = (f.reduceat(c, runs).tolist() for c in (u, v) for f in (np.minimum, np.maximum))
+        found_i, found_j = [self.order[:0]], [self.order[:0]]
+        for *box, lo, hi in zip(*bounds, runs, [*runs[1:], len(xyz)]):
+            slices = self._slices(*box)
+            if not slices:
+                continue
+            d = xyz[lo:hi, :, None] - np.concatenate([self._xyz[:, a:b] for a, b in slices], axis=1)
+            d *= d
+            i, k = np.nonzero(np.add.reduce(d, axis=1) <= self._chord2)
+            found_i.append(i + lo)
+            found_j.append(np.concatenate([self.order[a:b] for a, b in slices])[k])
+        return np.concatenate(found_i), np.concatenate(found_j)
 
 
 def _walk_seconds_vec(road: np.ndarray, model: TravelModel) -> np.ndarray:
@@ -163,8 +255,9 @@ def _walk_seconds_vec(road: np.ndarray, model: TravelModel) -> np.ndarray:
     return np.maximum(0.0, np.ceil(raw - 1e-9))
 
 
-# Source stops per KD query of the footpath build.  A block's candidate
-# pairs, the build's working memory, grow with it and not with the feed.
+# Source stops per block of the footpath build, taken in the order of
+# the targets' chord index.  A block's candidate pairs, the build's
+# working memory, grow with it and not with the feed.
 _FOOTPATH_BLOCK = 128
 
 
@@ -182,13 +275,16 @@ def build_footpaths(
     links :func:`_usable_links` passes.  A :class:`Planner` reads the
     set once, into its fan tables, and keeps no reference to it.
 
-    The sources go ``_FOOTPATH_BLOCK`` at a time.  A KD-tree over the
-    block's unit vectors is queried against one over the targets' for
-    the pairs within the walking chord (:func:`_walk_chord`); exact
-    great-circle distances make the cut, so the links are those of the
-    quadratic scan at any latitude; then come the time rule and the
-    sort.  Neither the candidate pairs nor the links the rule drops
-    outlive their block.
+    The targets' unit vectors go into a :class:`_ChordIndex` of the
+    walking chord (:func:`_walk_chord`).  The sources, sorted into its
+    order so that a block's sources lie close together, go through
+    :meth:`_ChordIndex.pairs` ``_FOOTPATH_BLOCK`` at a time for the
+    pairs within the chord.  Exact great-circle distances make the cut,
+    so the links are those of the quadratic scan at any latitude; then
+    come the time rule and the sort.  Neither the candidate pairs nor
+    the links the rule drops outlive their block.  Each source's links
+    are contiguous in its block's part, so one gather puts them in
+    source order at the end.
     A pair's distance is computed from its lower-indexed stop, so both
     directions of a link carry the same bits.
     """
@@ -204,20 +300,24 @@ def build_footpaths(
     lat_r = np.radians([t.stops[s].position.lat for s in stop_ids])
     lon_r = np.radians([t.stops[s].position.lon for s in stop_ids])
     xyz = np.column_stack(_unit_vectors(lat_r, lon_r))
-    chord = _walk_chord(model, max_walk_km)
+    cos_lat = np.cos(lat_r)
     src = np.flatnonzero(first_arrival < _INF)
     dst = np.flatnonzero(last_departure > -_INF)
-    dst_tree = cKDTree(xyz[dst])
+    index = _ChordIndex(xyz[dst], _walk_chord(model, max_walk_km))
+    src = src[index.sort(xyz[src])]
+    # Where each source's links begin in the concatenated parts.
+    first = np.zeros(n, dtype=np.int64)
+    done = 0
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     for k in range(0, len(src), _FOOTPATH_BLOCK):
         block = src[k : k + _FOOTPATH_BLOCK]
-        pairs = cKDTree(xyz[block]).sparse_distance_matrix(dst_tree, chord, output_type="ndarray")
-        a, b = block[pairs["i"]], dst[pairs["j"]]
-        del pairs
+        i, j = index.pairs(xyz[block])
+        a, b = block[i], dst[j]
+        del i, j
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         h = (
             np.sin((lat_r[hi] - lat_r[lo]) / 2.0) ** 2
-            + np.cos(lat_r[lo]) * np.cos(lat_r[hi]) * np.sin((lon_r[hi] - lon_r[lo]) / 2.0) ** 2
+            + cos_lat[lo] * cos_lat[hi] * np.sin((lon_r[hi] - lon_r[lo]) / 2.0) ** 2
         )
         del lo, hi
         road = model.circuity * (2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h)))
@@ -228,11 +328,17 @@ def build_footpaths(
         keep = _usable_links(a, b, secs, first_arrival, last_departure)
         a, b, secs, road = a[keep], b[keep], secs[keep], road[keep]
         order = np.argsort(a * n + b)
+        a = a[order]
+        head = np.flatnonzero(np.diff(a, prepend=-1))
+        first[a[head]] = done + head
+        done += len(a)
         starts[1:] += np.bincount(a, minlength=n)
         parts.append((b[order], secs[order], road[order]))
 
     np.cumsum(starts, out=starts)
-    targets, secs, road = (np.concatenate(column) for column in zip(*parts))
+    gather = np.repeat(first - starts[:-1], np.diff(starts))
+    gather += np.arange(done)
+    targets, secs, road = (np.concatenate(column)[gather] for column in zip(*parts))
     return FootpathSet(stop_ids, starts, targets, secs, road)
 
 
@@ -383,10 +489,11 @@ class Planner:
 
     A request's set-up costs time in the stops within walking range of
     its endpoints, not in the stops of the feed.  The build puts the
-    stops' unit vectors (cos φ cos λ, cos φ sin λ, sin φ) in a KD-tree
-    and fixes the chord of the widest walkable great-circle angle, with
-    a small margin.  Per endpoint, a ball query of that chord finds the
-    candidates, and ``circuity`` times the great-circle distance, within
+    stops' unit vectors (cos φ cos λ, cos φ sin λ, sin φ) in a
+    :class:`_ChordIndex` of the chord of the widest walkable great-circle
+    angle, with a small margin.  Per endpoint, the index hands over the
+    stops of at most three short slices, every stop within that chord
+    among them, and ``circuity`` times the great-circle distance, within
     ``max_walk_km``, makes the exact cut.  Unit vectors keep the
     prefilter exact at any feed extent.  That set-up does not depend on
     the mode, so the planner keeps the last request's, keyed by origin,
@@ -415,8 +522,8 @@ class Planner:
         self._positions = [timetable.stops[sid].position for sid in self._stop_ids]
         self._lat_r = np.radians(np.array([p.lat for p in self._positions]))
         self._lon_r = np.radians(np.array([p.lon for p in self._positions]))
-        self._stop_tree = cKDTree(np.column_stack(_unit_vectors(self._lat_r, self._lon_r)))
-        self._walk_chord = _walk_chord(model, max_walk_km)
+        xyz = np.column_stack(_unit_vectors(self._lat_r, self._lon_r))
+        self._chord_index = _ChordIndex(xyz, _walk_chord(model, max_walk_km))
         # (origin, destination, departure), the links and the first
         # TRANSIT scan of the last request.
         self._last_links: list = [None, None, None]
@@ -544,10 +651,9 @@ class Planner:
 
     def _stop_walks(self, point: GeoPoint) -> _StopWalks:
         """The stops within the walking cap of a request endpoint."""
-        near = self._stop_tree.query_ball_point(
-            _unit_vectors(math.radians(point.lat), math.radians(point.lon), math), self._walk_chord
+        stops = self._chord_index.near(
+            _unit_vectors(math.radians(point.lat), math.radians(point.lon), math)
         )
-        stops = np.array(near, dtype=np.int64)
         stops.sort()
         road = self.model.circuity * haversine_km_to_point(
             self._lat_r[stops], self._lon_r[stops], point

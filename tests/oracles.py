@@ -11,7 +11,9 @@ the CSV readers the package had before it streamed its files: each
 decodes a whole file at once and runs ``csv.reader`` over
 ``io.StringIO`` of the text.  :func:`reference_parse_stoptimes` checks
 every stop_times.txt row field by field, where the package resolves
-most rows by lookups.  :func:`reference_generate_scenario` and
+most rows by lookups.  :func:`reference_chord_pairs` scans every pair
+of unit vectors where the planner's chord index reads a few slices.
+:func:`reference_generate_scenario` and
 :func:`reference_driver_journeys` build one ``np.random.default_rng``
 per agent, which the package seeds in bulk instead.
 """
@@ -334,8 +336,9 @@ class ReferencePlanner(Planner):
     def _endpoint_links(self, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
         """Walk seconds and km from a request endpoint to every stop.
 
-        The dense computation the package had before its KD-tree ball
-        query: one haversine over all stops, infinity beyond the cap.
+        The dense computation the package had before it prefiltered the
+        stops by chord: one haversine over all stops, infinity beyond the
+        cap.
         """
         hav = haversine_km_to_point(self._lat_r, self._lon_r, point)
         road = self.model.circuity * hav
@@ -578,6 +581,26 @@ def arriving_to_departing(timetable: Timetable, fps: FootpathSet) -> FootpathSet
     )
 
 
+def reference_chord_pairs(sources, targets, chord: float) -> set[tuple[int, int]]:
+    """Every (i, j) whose unit vectors ``sources[i]`` and ``targets[j]``
+    (rows of (n, 3) arrays) are at most ``chord`` apart, by a scan of
+    all pairs in Python floats.
+
+    The squared chord is summed as the package's chord index sums it,
+    ``(dx² + dy²) + dz²``, so the two agree on every pair, even one
+    that lies on the chord.
+    """
+    limit = chord * chord
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3).tolist()
+    pairs = set()
+    for i, (x, y, z) in enumerate(np.asarray(sources, dtype=np.float64).reshape(-1, 3).tolist()):
+        for j, (p, q, r) in enumerate(targets):
+            dx, dy, dz = x - p, y - q, z - r
+            if dx * dx + dy * dy + dz * dz <= limit:
+                pairs.add((i, j))
+    return pairs
+
+
 def reference_build_footpaths(
     timetable: Timetable, model: TravelModel, max_walk_km: float = 2.5
 ) -> FootpathSet:
@@ -586,7 +609,7 @@ def reference_build_footpaths(
 
     The same float arithmetic as the package, each pair computed from
     its lower-indexed stop, so the arrays must agree bit for bit; the
-    package's KD-tree prefilter must drop no pair this keeps.
+    package's chord-index prefilter must drop no pair this keeps.
     """
     stop_ids = tuple(sorted(timetable.stops))
     n = len(stop_ids)

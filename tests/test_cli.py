@@ -6,7 +6,10 @@ config, then inspects the files the commands leave behind.
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poollines
 from poollines import config
 from poollines.cli import main
 from poollines.config import SCHEMA, Key
@@ -149,6 +153,24 @@ def test_workers_flag_does_not_change_the_outputs(workspace):
                "--workers", "2"])
     assert rc == 0
     assert _tree_bytes(root / "run_a") == _tree_bytes(root / "run_w")
+
+
+def test_simulate_runs_without_scipy(tmp_path):
+    """A whole ``simulate`` in a fresh interpreter never imports scipy:
+    numpy is the package's only runtime dependency."""
+    cfg = _write_config(tmp_path / "config.json", workers=2)
+    script = (
+        "import sys\n"
+        "from poollines.cli import main\n"
+        f"rc = main(['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'run')!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(poollines.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_single_variant_run(tmp_path):

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from poollines import planner as planner_module
 from poollines.drivers import Driver, MeetingPointSet, compute_driver_journeys
-from poollines.geo import GeoPoint, TravelModel, haversine_km_to_point, road_km, walk_seconds
+from poollines.geo import (
+    EARTH_RADIUS_KM,
+    GeoPoint,
+    TravelModel,
+    haversine_km_to_point,
+    road_km,
+    walk_seconds,
+)
 from poollines.gtfs import GtfsStopTime, Route, Stop, Timetable, Trip
 from poollines.injection import (
     destination_stop_id,
@@ -23,7 +30,10 @@ from poollines.planner import (
     Planner,
     PlanMode,
     PlanRequest,
+    _ChordIndex,
     _Scan,
+    _unit_vectors,
+    _walk_chord,
     build_footpaths,
 )
 
@@ -36,6 +46,7 @@ from oracles import (
     random_endpoints,
     random_feed,
     reference_build_footpaths,
+    reference_chord_pairs,
     reference_road_km,
 )
 
@@ -599,7 +610,7 @@ _BLOCKS = st.sampled_from([1, 3, planner_module._FOOTPATH_BLOCK])
 
 
 def _build_in_blocks(block: int, *args) -> FootpathSet:
-    """``build_footpaths(*args)`` with ``block`` source stops per KD query."""
+    """``build_footpaths(*args)`` with ``block`` source stops per block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner_module, "_FOOTPATH_BLOCK", block)
         return build_footpaths(*args)
@@ -641,6 +652,80 @@ def _assert_bit_identical(got: FootpathSet, want: FootpathSet) -> None:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def _sphere_points(draw):
+    """(lat, lon) points for the chord index, some of them repeated: a
+    cluster at the antimeridian, on one side or both, one at the north
+    pole, a feed from 0 to 60°N, or points anywhere."""
+    lat, lon = draw(
+        st.sampled_from(
+            [
+                ((-10.0, -9.96), (179.97, 180.0)),
+                ((-10.0, -9.96), (-180.0, -179.97)),
+                ((89.97, 90.0), (-180.0, 180.0)),
+                ((0.0, 60.0), (10.0, 10.05)),
+                ((-90.0, 90.0), (-180.0, 180.0)),
+            ]
+        )
+    )
+    point = st.tuples(st.floats(*lat), st.floats(*lon))
+    if draw(st.booleans()):  # both sides of the antimeridian
+        point = st.one_of(point, st.tuples(st.floats(*lat), st.floats(-180.0, -179.97)))
+    points = draw(st.lists(point, max_size=25))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=4))
+    return points
+
+
+# The equator at 0°E, a point north of it just inside the 2.5 km cap, and
+# one 0.1° east that makes the y axis the widest and z the second.
+_CAP_DEG = float(np.degrees(2.5 / MODEL.circuity / EARTH_RADIUS_KM))
+_ALONG_V = [(0.0, 0.0), (_CAP_DEG * (1 - 1e-7), 0.0), (0.0, 0.1)]
+
+
+def _unit_rows(points) -> np.ndarray:
+    lat, lon = np.radians(np.array(points, dtype=np.float64).reshape(-1, 2)).T
+    return np.column_stack(_unit_vectors(lat, lon))
+
+
+@settings(deadline=None)
+@given(
+    targets=_sphere_points(),
+    sources=_sphere_points(),
+    cap=st.sampled_from([0.0, 0.4, 2.5, 40.0, 500.0, 5000.0, 40000.0]),
+    block=_BLOCKS,
+)
+@example(targets=[], sources=[(45.0, -122.3)], cap=2.5, block=1)
+@example(targets=[(45.0, -122.3)], sources=[], cap=2.5, block=1)
+@example(targets=[(45.0, -122.3)], sources=[(45.0, -122.3)], cap=0.0, block=1)
+@example(
+    targets=[(0.0, 179.99), (0.0, -179.99), (90.0, 0.0)], sources=[(90.0, 45.0)], cap=40000.0, block=3
+)
+# A pair just inside the chord, apart along the index's second axis.
+@example(targets=_ALONG_V, sources=_ALONG_V, cap=2.5, block=3)
+def test_chord_index_finds_exactly_the_pairs_of_an_all_pairs_scan(targets, sources, cap, block):
+    """The pairs of the footpath build's blocks, and the endpoint
+    candidates cut at the chord, are those of every pair scanned."""
+    chord = _walk_chord(MODEL, cap)
+    t, s = _unit_rows(targets), _unit_rows(sources)
+    want = reference_chord_pairs(s, t, chord)
+    index = _ChordIndex(t, chord)
+
+    order = index.sort(s)
+    assert sorted(order.tolist()) == list(range(len(s)))
+    got = []
+    for k in range(0, len(s), block):
+        rows = order[k : k + block]
+        i, j = index.pairs(s[rows])
+        got += zip(rows[i].tolist(), j.tolist())
+    assert sorted(got) == sorted(want)  # each pair once
+
+    for i, p in enumerate(s.tolist()):
+        near = index.near(tuple(p)).tolist()
+        assert len(near) == len(set(near))
+        assert {j for k, j in want if k == i} <= set(near)
 
 
 def _usable(links, first: dict[str, int], last: dict[str, int]) -> list:
