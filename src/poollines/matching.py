@@ -1,9 +1,14 @@
 """Assigning riders to itineraries and policing seat capacity.
 
 A rider takes the first feasible itinerary the planner offers, in the
-planner's own order, so the fastest acceptable journey wins.  Capacity
-is enforced afterwards: a driver whose car would ever hold more riders
-than seats is voided together with everyone who used that driver.
+planner's own order, so the fastest acceptable journey wins.  The
+planner enforces the walk rule inside its search: every alternative it
+offers is the earliest journey whose walk fits ``max_walk_km``, and it
+arrives before the direct walk.  So the alternatives beyond the first,
+each with one more first ride trip banned, serve only the wait rule.
+Capacity is enforced afterwards: a driver whose car would ever hold
+more riders than seats is voided together with everyone who used that
+driver.
 """
 from __future__ import annotations
 
@@ -53,8 +58,14 @@ class Rider:
 class FeasibilityRules:
     """Acceptance limits for a rider journey.
 
-    ``walk_time_bound`` additionally rejects journeys that take longer
-    door to door than simply walking the whole way.
+    ``max_walk_km`` caps the walking of a whole journey; the planner
+    searches within it (``PlanRequest.max_walk_km``), so no ride it
+    offers breaks it, and only the closing direct walk can.
+    ``max_wait_s`` caps the waiting, which the search does not know:
+    :func:`resolve_rider` moves on to the next alternative when a
+    journey breaks it.  ``walk_time_bound`` additionally rejects
+    journeys that take longer door to door than simply walking the whole
+    way; no ride the planner offers does.
     """
 
     max_wait_s: int = DEFAULT_MAX_WAIT_S
@@ -112,8 +123,9 @@ def resolve_rider(
 ) -> RiderOutcome:
     """First feasible itinerary for the rider, or an unserved outcome.
 
-    Alternatives are evaluated lazily in the planner's order, so the
-    chosen journey is the same as scanning the full list of them.
+    The planner searches within ``rules.max_walk_km``.  Alternatives are
+    evaluated lazily in the planner's order, so the chosen journey is the
+    same as scanning the full list of them.
     """
     req = PlanRequest(
         origin=r.origin,
@@ -121,6 +133,7 @@ def resolve_rider(
         departure=r.departure_time,
         mode=mode,
         num_itineraries=num_itineraries,
+        max_walk_km=rules.max_walk_km,
     )
     for it in planner.iter_itineraries(req):
         if is_feasible(it, r, rules, planner.model):

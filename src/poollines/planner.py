@@ -12,6 +12,16 @@ within ``max_walk_km`` road-kilometres, and stop-to-stop footpaths.
 Changing vehicles at one stop costs ``transfer_s`` seconds; a footpath
 transfer needs no buffer beyond its own walking time.
 
+A request may also cap the road km a journey walks in all
+(``PlanRequest.max_walk_km``).  The alternatives of
+:meth:`Planner.iter_itineraries` enforce that cap inside the scan: each
+is the earliest journey whose walk fits it, found by one scan whose
+labels are Pareto sets of (arrival, walk km), as in the multi-criteria
+connection scan (Dibbelt et al.) and McRAPTOR (Delling, Pajor &
+Werneck, 2012).  Banning a trip never shortens a walk, so the ban loop
+of the alternatives is left only for a rule the scan does not know:
+the rider's wait.
+
 The scan, the footpaths each mode keeps and how they are built, how one
 solve seeds the next, and a request's set-up are described on
 :class:`Planner`.  Stops within walking range of a stop or a point are
@@ -62,12 +72,17 @@ class PlanRequest:
     departure: int
     mode: PlanMode = PlanMode.TRANSIT
     num_itineraries: int = DEFAULT_NUM_ITINERARIES
+    # The most road km a journey may walk in all, access, footpaths and
+    # egress together; infinity puts no limit on it.
+    max_walk_km: float = _INF
 
     def __post_init__(self) -> None:
         if self.departure < 0:
             raise ValueError("departure must be non-negative seconds")
         if self.num_itineraries < 1:
             raise ValueError("num_itineraries must be >= 1")
+        if not self.max_walk_km >= 0:
+            raise ValueError("max_walk_km must be a non-negative number")
 
 
 @dataclass(frozen=True)
@@ -366,7 +381,8 @@ class _FanTable(NamedTuple):
     """The footpaths one mode keeps, in CSR layout, as the scan relaxes them.
 
     For source stop i the links are ``[starts[i], starts[i+1])``, with
-    4-byte targets and keys and float walk seconds, in two parts split
+    4-byte targets and keys and float walk seconds and road km, in two
+    parts split
     at ``split[i]``.  The first part leads to the stops the mode leaves
     exactly once, and its key is the walk seconds less that departure:
     a walk begun at ``at`` reaches the target by then exactly when the
@@ -380,6 +396,7 @@ class _FanTable(NamedTuple):
     split: list
     targets: array
     seconds: array
+    km: array
     key: array
 
 
@@ -402,21 +419,25 @@ class _RequestLinks:
 
     ``access`` and ``egress`` hold only the stops within walking range
     of the origin and of the destination; both are non-empty.  The scan
-    reads three dense lists, one entry per stop, filled in at those
-    stops alone: ``egress_s`` is the egress walk (infinity beyond the
-    cap), and ``reach`` and ``foot_prev`` are the initial boarding
-    labels (the access arrivals) and their sources (-1 the origin, -2
-    none), which each solve copies.  ``first_board`` is the earliest
-    access arrival and ``min_egress`` the shortest egress walk.
+    reads dense lists, one entry per stop, filled in at those stops
+    alone: ``egress_s`` and ``egress_km`` are the egress walk (infinity
+    beyond the cap), and ``reach``, ``reach_km`` and ``foot_prev`` are
+    the initial boarding labels (the access arrivals), their walk and
+    their sources (-1 the origin, -2 none), which each solve copies.
+    ``first_board`` is the earliest access arrival, and ``min_egress``
+    and ``min_egress_km`` the shortest egress walk in seconds and in km.
     """
 
     access: _StopWalks
     egress: _StopWalks
     egress_s: list
+    egress_km: list
     reach: list
+    reach_km: list
     foot_prev: list
     first_board: float
     min_egress: float
+    min_egress_km: float
 
 
 class Planner:
@@ -484,8 +505,20 @@ class Planner:
     alternative bans one trip more than the one before, and
     ``TRANSIT_NO_POOL`` and ``POOL_ONLY`` are ``TRANSIT`` with the
     other service's trips banned; so the planner keeps the first
-    ``TRANSIT`` scan of the request beside its set-up, and seeds a
-    restricted mode's first solve with it, read for the mode's trips.
+    ``TRANSIT`` scan of the request beside its set-up, one per walk
+    budget and one for the single-criterion scan, and seeds a
+    restricted mode's first solve of the same kind with it, read for
+    the mode's trips.
+
+    The walk-budgeted scan (:meth:`_solve_within`) seeds the same way.
+    Under the same budget, each label of the second solve by the first's
+    limit is dominated, earlier and walking no more, by a label of the
+    first, and each trip rides on with no less walk; a label's walk
+    only grows along a journey, so a label the first prunes for its walk
+    the second prunes too.  So the second boards no trip the first had
+    not boarded by then, and stops no earlier.  The arrivals that
+    :meth:`_solve_within` skips as dominated would only add labels that
+    are dominated too, so skipping them changes no label or answer.
 
     A request's set-up costs time in the stops within walking range of
     its endpoints, not in the stops of the feed.  The build puts the
@@ -525,8 +558,9 @@ class Planner:
         xyz = np.column_stack(_unit_vectors(self._lat_r, self._lon_r))
         self._chord_index = _ChordIndex(xyz, _walk_chord(model, max_walk_km))
         # (origin, destination, departure), the links and the first
-        # TRANSIT scan of the last request.
-        self._last_links: list = [None, None, None]
+        # TRANSIT scans of the last request, keyed by walk budget (None
+        # for the single-criterion scan).
+        self._last_links: list = [None, None, {}]
 
         self._trip_ids: list[str] = []
         self._trip_index: dict[str, int] = {}
@@ -603,8 +637,7 @@ class Planner:
             last = np.full(n, -_INF)
             np.maximum.at(last, dep_s[rows], dep_t[rows])
             mode_times[mode] = (first, last)
-        # Per mode, the links it keeps (see _FanTable), and the road km of
-        # TRANSIT's in the order of its table.
+        # Per mode, the links it keeps (see _FanTable).
         fp = footpaths
         if fp is None:
             fp = build_footpaths(timetable, model, max_walk_km, *mode_times[PlanMode.TRANSIT])
@@ -630,10 +663,9 @@ class Planner:
                 split.tolist(),
                 array("i", fp.targets[links].astype(np.int32).tobytes()),
                 array("d", fp.seconds[links].astype(np.float64, copy=False).tobytes()),
+                array("d", fp.km[links].astype(np.float64, copy=False).tobytes()),
                 array("i", key.astype(np.int32).tobytes()),
             )
-            if mode is PlanMode.TRANSIT:
-                self._transit_km = array("d", fp.km[links].astype(np.float64, copy=False).tobytes())
 
     @property
     def footpaths(self) -> FootpathSet:
@@ -644,7 +676,7 @@ class Planner:
         source = np.repeat(np.arange(len(self._stop_ids), dtype=np.int64), np.diff(starts))
         targets = np.array(fan.targets, dtype=np.int64)
         order = np.lexsort((targets, source))  # each source's links by target
-        seconds, km = (np.array(a, dtype=np.float64)[order] for a in (fan.seconds, self._transit_km))
+        seconds, km = (np.array(a, dtype=np.float64)[order] for a in (fan.seconds, fan.km))
         return FootpathSet(self._stop_ids, starts, targets[order], seconds, km)
 
     # ---- helpers ----------------------------------------------------
@@ -679,7 +711,7 @@ class Planner:
         which holds every link a solve of any mode relaxes."""
         fan = self._fans[PlanMode.TRANSIT]
         k = fan.targets.index(to_idx, fan.starts[from_idx], fan.starts[from_idx + 1])
-        return int(fan.seconds[k]), self._transit_km[k]
+        return int(fan.seconds[k]), fan.km[k]
 
     def _leg_kind(self, trip_index: int) -> str:
         return "carpool" if self._pool_flags[trip_index] else "transit"
@@ -709,7 +741,7 @@ class Planner:
         """
         key = (req.origin, req.destination, req.departure)
         if self._last_links[0] != key:
-            self._last_links = [key, self._new_request_links(req), None]
+            self._last_links = [key, self._new_request_links(req), {}]
         return self._last_links[1]
 
     def _new_request_links(self, req: PlanRequest) -> _RequestLinks | None:
@@ -721,32 +753,40 @@ class Planner:
             return None
         n = len(self._stop_ids)
         egress_s = [_INF] * n
-        for stop, secs in zip(egress.stops.tolist(), egress.seconds.tolist()):
+        egress_km = [_INF] * n
+        for stop, secs, km in zip(
+            egress.stops.tolist(), egress.seconds.tolist(), egress.km.tolist()
+        ):
             egress_s[stop] = secs
+            egress_km[stop] = km
         boards = req.departure + access.seconds
         reach = [_INF] * n
+        reach_km = [_INF] * n
         foot_prev = [-2] * n
-        for stop, at in zip(access.stops.tolist(), boards.tolist()):
+        for stop, at, km in zip(access.stops.tolist(), boards.tolist(), access.km.tolist()):
             reach[stop] = at
+            reach_km[stop] = km
             foot_prev[stop] = -1
         return _RequestLinks(
             access,
             egress,
             egress_s,
+            egress_km,
             reach,
+            reach_km,
             foot_prev,
             first_board=float(boards.min()),
             min_egress=float(egress.seconds.min()),
+            min_egress_km=float(egress.km.min()),
         )
 
     def _solve(
         self,
         req: PlanRequest,
-        banned: Iterable[int],
         links: _RequestLinks | None,
         seed: _Scan | None = None,
     ) -> tuple[Itinerary, _Scan | None]:
-        """Earliest arrival without the trips whose indices are in ``banned``.
+        """Earliest arrival, whatever it walks.
 
         Returns the itinerary and the solve's :class:`_Scan` (None for a
         request that can only walk).  ``seed`` is the scan of a solve of
@@ -773,10 +813,8 @@ class Planner:
         arr_veh = [_INF] * n
         veh_conn = [-1] * n
         n_trips = len(self._trip_ids)
-        # Per trip: 0 not boarded yet, 1 boarded, 2 banned.
+        # Per trip: 0 not boarded yet, 1 boarded.
         trip_state = bytearray(n_trips)
-        for ti in banned:
-            trip_state[ti] = 2
         board_conn = [-1] * n_trips
         live: list[int] = []
         read_live = live.append
@@ -787,7 +825,7 @@ class Planner:
         c_arr_s = self._c_arr_s
         c_arr_t = self._c_arr_t
         c_trip = self._c_trip
-        fan_starts, fan_split, fan_targets, fan_seconds, fan_key = self._fans[req.mode]
+        fan_starts, fan_split, fan_targets, fan_seconds, _, fan_key = self._fans[req.mode]
 
         conns, times = self._mode_conns[req.mode]
         lo = bisect_left(times, links.first_board)
@@ -801,9 +839,8 @@ class Planner:
             if t0 > limit:
                 break
             ti = c_trip[ci]
-            state = trip_state[ti]
-            if state != 1:
-                if state or t0 < reach[c_dep_s[ci]]:
+            if not trip_state[ti]:
+                if t0 < reach[c_dep_s[ci]]:
                     continue
                 trip_state[ti] = 1
                 board_conn[ti] = ci
@@ -860,58 +897,21 @@ class Planner:
         dep = req.departure
         dw = self.transfer_s
         access = links.access
-        egress_s = links.egress_s
-        legs_rev: list[Leg] = []
-        legs_rev.append(
-            Leg(
-                kind="walk",
-                start=int(arr_veh[best_stop]),
-                end=int(arr_veh[best_stop] + egress_s[best_stop]),
-                distance_km=float(links.egress.km[links.egress.position(best_stop)]),
-                from_point=self._positions[best_stop],
-                to_point=req.destination,
-                from_stop=self._stop_ids[best_stop],
-            )
-        )
+        legs_rev = [self._egress_leg(req, links, best_stop, arr_veh[best_stop])]
         stop = best_stop
         while True:
             ci = veh_conn[stop]
-            ti = self._c_trip[ci]
-            bi = board_conn[ti]
+            bi = board_conn[self._c_trip[ci]]
+            legs_rev.append(self._ride_leg(bi, ci))
             sb = self._c_dep_s[bi]
             tb = self._c_dep_t[bi]
-            cum = self._trip_km(ti)
-            km = cum[self._c_pos[ci] + 1] - cum[self._c_pos[bi]]
-            legs_rev.append(
-                Leg(
-                    kind=self._leg_kind(ti),
-                    start=tb,
-                    end=int(self._c_arr_t[ci]),
-                    distance_km=km,
-                    from_point=self._positions[sb],
-                    to_point=self._positions[self._c_arr_s[ci]],
-                    trip_id=self._trip_ids[ti],
-                    from_stop=self._stop_ids[sb],
-                    to_stop=self._stop_ids[self._c_arr_s[ci]],
-                )
-            )
             # How was the boarding stop reached?  Prefer walking straight
             # from the origin, then a same-stop change, then a footpath.
             # A change is from a vehicle scanned before the boarding; a
             # later one may be this trip's own return to sb.
             k = access.position(sb)
             if k is not None and dep + access.seconds[k] <= tb:
-                legs_rev.append(
-                    Leg(
-                        kind="walk",
-                        start=dep,
-                        end=dep + int(access.seconds[k]),
-                        distance_km=float(access.km[k]),
-                        from_point=req.origin,
-                        to_point=self._positions[sb],
-                        to_stop=self._stop_ids[sb],
-                    )
-                )
+                legs_rev.append(self._access_leg(req, links, sb))
                 break
             if 0 <= veh_conn[sb] < bi and arr_veh[sb] + dw <= tb:
                 stop = sb
@@ -921,55 +921,303 @@ class Planner:
             q = foot_prev[sb]
             if q < 0 or reach[sb] > tb:
                 raise AssertionError("inconsistent labels during reconstruction")
-            walk_s, walk_km = self._footpath_seconds_km(q, sb)
-            legs_rev.append(
-                Leg(
-                    kind="walk",
-                    start=int(arr_veh[q]),
-                    end=int(arr_veh[q]) + walk_s,
-                    distance_km=walk_km,
-                    from_point=self._positions[q],
-                    to_point=self._positions[sb],
-                    from_stop=self._stop_ids[q],
-                    to_stop=self._stop_ids[sb],
-                )
-            )
+            legs_rev.append(self._footpath_leg(q, sb, int(arr_veh[q])))
             stop = q
+        return self._itinerary(req, best, legs_rev)
 
+    def _solve_within(
+        self,
+        req: PlanRequest,
+        banned: Iterable[int],
+        links: _RequestLinks | None,
+        seed: _Scan | None = None,
+    ) -> tuple[Itinerary, _Scan | None]:
+        """The earliest arrival whose walk fits ``req.max_walk_km``,
+        without the trips whose indices are in ``banned``.
+
+        Returns and takes a seed as :meth:`_solve` does.  Each stop holds
+        the Pareto set of its boarding labels, (time, walk km): the
+        earliest inline, the others, once there are any, in a bag sorted
+        by time, so by falling walk.  Each trip rides on with the least
+        walk of any of its boardings so far.  A label is kept only when
+        its walk plus the shortest egress walk fits the budget, and an
+        arrival counts only when its walk plus its egress walk does, as
+        :func:`~poollines.matching.is_feasible` sums them.  Each label
+        carries its provenance: None for an access walk, or the ride that
+        reached it, ``(connection, (boarding connection, provenance of
+        the boarding label))``; the itinerary is rebuilt from it.
+        """
+        direct = self._walk_only(req)
+        if links is None:
+            return direct, None
+
+        budget = req.max_walk_km
+        n = len(self._stop_ids)
+        best = direct.arrive
+        best_stop = -1
+        best_egress = _INF
+        best_ride = None
+        egress = links.egress_s
+        egress_km = links.egress_km
+        min_egress = links.min_egress
+        min_egress_km = links.min_egress_km
+        limit = best - min_egress
+
+        reach = links.reach.copy()
+        reach_km = links.reach_km.copy()
+        for s in links.access.stops.tolist():
+            if reach_km[s] + min_egress_km > budget:
+                reach[s] = reach_km[s] = _INF
+        prov: list = [None] * n
+        bags: list = [None] * n
+
+        def add(v: int, t: float, km: float, p: tuple) -> None:
+            """Put the label (t, km) at stop v unless a label there
+            dominates it, and drop the labels it dominates."""
+            bag = bags[v]
+            if bag is None:
+                t1 = reach[v]
+                km1 = reach_km[v]
+                if t >= t1 and km >= km1:
+                    return
+                if t <= t1 and km <= km1:
+                    reach[v] = t
+                    reach_km[v] = km
+                    prov[v] = p
+                    return
+                bags[v] = bag = ([t1], [km1], [prov[v]])
+            times, kms, provs = bag
+            i = bisect_right(times, t)
+            if i and kms[i - 1] <= km:
+                return
+            j = i - 1 if i and times[i - 1] == t else i
+            k = j
+            while k < len(kms) and kms[k] >= km:
+                k += 1
+            times[j:k] = (t,)
+            kms[j:k] = (km,)
+            provs[j:k] = (p,)
+            if not j:
+                reach[v] = t
+                reach_km[v] = km
+                prov[v] = p
+
+        # Two vehicle arrivals of each stop, the earliest and the least
+        # walked; an arrival either dominates labels nothing new.
+        veh_t = [_INF] * n
+        veh_t_km = [_INF] * n
+        veh_km = [_INF] * n
+        veh_km_t = [_INF] * n
+        n_trips = len(self._trip_ids)
+        # Per trip, the least walk of its boardings (-1 when banned) and
+        # that boarding: its connection and its label's provenance.
+        trip_km = [_INF] * n_trips
+        for ti in banned:
+            trip_km[ti] = -1.0
+        trip_board: list = [None] * n_trips
+        live: list[int] = []
+        read_live = live.append
+
+        dw = self.transfer_s
+        c_dep_s = self._c_dep_s
+        c_dep_t = self._c_dep_t
+        c_arr_s = self._c_arr_s
+        c_arr_t = self._c_arr_t
+        c_trip = self._c_trip
+        fan_starts, fan_split, fan_targets, fan_seconds, fan_km, fan_key = self._fans[req.mode]
+
+        conns, times = self._mode_conns[req.mode]
+        lo = bisect_left(times, links.first_board)
+        hi = bisect_right(times, limit)
+        if seed is None:
+            order = conns[lo:hi]
+        else:
+            order = chain(seed.live, conns[max(lo, bisect_right(times, seed.stop)):hi])
+        for ci in order:
+            t0 = c_dep_t[ci]
+            if t0 > limit:
+                break
+            ti = c_trip[ci]
+            w = trip_km[ti]
+            s = c_dep_s[ci]
+            # Board, or ride on with less walk, from the least walked
+            # label at s by t0.  A walk of 0 cannot fall, and a banned
+            # trip's is -1.
+            if t0 >= reach[s] and w > 0.0:
+                bag = bags[s]
+                if bag is None:
+                    km = reach_km[s]
+                    p = prov[s]
+                else:
+                    k = bisect_right(bag[0], t0) - 1
+                    km = bag[1][k]
+                    p = bag[2][k]
+                if km < w:
+                    trip_km[ti] = w = km
+                    trip_board[ti] = (ci, p)
+            if not 0.0 <= w < _INF:
+                continue
+            read_live(ci)
+            at = c_arr_t[ci]
+            sa = c_arr_s[ci]
+            if (at >= veh_t[sa] and w >= veh_t_km[sa]) or (w >= veh_km[sa] and at >= veh_km_t[sa]):
+                continue
+            if at <= veh_t[sa]:
+                veh_t[sa] = at
+                veh_t_km[sa] = w
+            if w <= veh_km[sa]:
+                veh_km[sa] = w
+                veh_km_t[sa] = at
+            ride = (ci, trip_board[ti])
+            cand = at + dw
+            if cand < reach[sa] or w < reach_km[sa]:
+                add(sa, cand, w, ride)
+            e = egress[sa]
+            if e != _INF:
+                cand = at + e
+                if (
+                    cand < best or (cand == best and best_stop >= 0 and e < best_egress)
+                ) and w + egress_km[sa] <= budget:
+                    best = int(cand)
+                    best_stop = sa
+                    best_egress = e
+                    best_ride = ride
+                    limit = best - min_egress
+            # The links of _solve, each label kept as add keeps it.
+            a = fan_starts[sa]
+            m = fan_split[sa]
+            if a < m and fan_key[a] <= -at:
+                b = bisect_right(fan_key, -at, a, m)
+                for v, secs, km in zip(fan_targets[a:b], fan_seconds[a:b], fan_km[a:b]):
+                    cand = at + secs
+                    km = w + km
+                    if (cand < reach[v] or km < reach_km[v]) and km + min_egress_km <= budget:
+                        add(v, cand, km, ride)
+            b = fan_starts[sa + 1]
+            if m < b and fan_key[m] <= limit - at:
+                b = bisect_right(fan_key, limit - at, m, b)
+                for v, secs, km in zip(fan_targets[m:b], fan_seconds[m:b], fan_km[m:b]):
+                    cand = at + secs
+                    km = w + km
+                    if (cand < reach[v] or km < reach_km[v]) and km + min_egress_km <= budget:
+                        add(v, cand, km, ride)
+
+        scan = _Scan(live, limit)
+        if best_ride is None:
+            return direct, scan
+        return self._rebuild(req, best, best_stop, best_ride, links), scan
+
+    def _rebuild(self, req, best, best_stop, ride, links) -> Itinerary:
+        """The itinerary of a ride's provenance (see :meth:`_solve_within`)."""
+        legs_rev = [self._egress_leg(req, links, best_stop, self._c_arr_t[ride[0]])]
+        while True:
+            ci, (bi, p) = ride
+            legs_rev.append(self._ride_leg(bi, ci))
+            sb = self._c_dep_s[bi]
+            if p is None:
+                legs_rev.append(self._access_leg(req, links, sb))
+                break
+            q = self._c_arr_s[p[0]]
+            if q != sb:
+                legs_rev.append(self._footpath_leg(q, sb, self._c_arr_t[p[0]]))
+            ride = p
+        return self._itinerary(req, best, legs_rev)
+
+    def _ride_leg(self, bi: int, ci: int) -> Leg:
+        """The ride on one trip from connection ``bi`` to ``ci``."""
+        ti = self._c_trip[bi]
+        sb = self._c_dep_s[bi]
+        sa = self._c_arr_s[ci]
+        cum = self._trip_km(ti)
+        return Leg(
+            kind=self._leg_kind(ti),
+            start=self._c_dep_t[bi],
+            end=int(self._c_arr_t[ci]),
+            distance_km=cum[self._c_pos[ci] + 1] - cum[self._c_pos[bi]],
+            from_point=self._positions[sb],
+            to_point=self._positions[sa],
+            trip_id=self._trip_ids[ti],
+            from_stop=self._stop_ids[sb],
+            to_stop=self._stop_ids[sa],
+        )
+
+    def _access_leg(self, req: PlanRequest, links: _RequestLinks, stop: int) -> Leg:
+        k = links.access.position(stop)
+        return Leg(
+            kind="walk",
+            start=req.departure,
+            end=req.departure + int(links.access.seconds[k]),
+            distance_km=float(links.access.km[k]),
+            from_point=req.origin,
+            to_point=self._positions[stop],
+            to_stop=self._stop_ids[stop],
+        )
+
+    def _footpath_leg(self, q: int, stop: int, start: int) -> Leg:
+        walk_s, walk_km = self._footpath_seconds_km(q, stop)
+        return Leg(
+            kind="walk",
+            start=start,
+            end=start + walk_s,
+            distance_km=walk_km,
+            from_point=self._positions[q],
+            to_point=self._positions[stop],
+            from_stop=self._stop_ids[q],
+            to_stop=self._stop_ids[stop],
+        )
+
+    def _egress_leg(self, req: PlanRequest, links: _RequestLinks, stop: int, start) -> Leg:
+        return Leg(
+            kind="walk",
+            start=int(start),
+            end=int(start + links.egress_s[stop]),
+            distance_km=float(links.egress.km[links.egress.position(stop)]),
+            from_point=self._positions[stop],
+            to_point=req.destination,
+            from_stop=self._stop_ids[stop],
+        )
+
+    def _itinerary(self, req: PlanRequest, best: int, legs_rev: list[Leg]) -> Itinerary:
+        """The itinerary of legs listed last first, arriving at ``best``.
+        Its walk is the walk legs' km summed in leg order."""
         legs = legs_rev[::-1]
         walk_km_total = sum(l.distance_km for l in legs if l.kind == "walk")
         durations = sum(l.duration_s for l in legs)
         return Itinerary(
             legs=tuple(legs),
-            depart=dep,
+            depart=req.departure,
             arrive=best,
             total_walk_km=walk_km_total,
-            total_wait_s=best - dep - durations,
+            total_wait_s=best - req.departure - durations,
         )
 
     # ---- public API -------------------------------------------------
 
     def earliest_arrival(self, req: PlanRequest) -> Itinerary:
-        """The fastest itinerary for the request.
+        """The fastest itinerary for the request whose walk fits
+        ``req.max_walk_km``, or the direct walk when none beats it.
 
         A direct walk is always available, so this never fails on a
-        connected plane.
+        connected plane.  With no walk budget it is the single-criterion
+        scan of :meth:`_solve`.
         """
-        return self._first_solve(req, self._request_links(req))[0]
+        within = req.max_walk_km != _INF
+        return self._first_solve(req, self._request_links(req), within)[0]
 
     def iter_itineraries(self, req: PlanRequest):
         """Yield alternatives lazily, best first.
 
-        Each round bans the first ride trip of the previous result and
-        re-solves, seeded with the previous solve's scan; a walk-only
-        itinerary closes the list as the final fallback.  At most
-        ``req.num_itineraries`` results.  No result repeats an earlier
-        one: each later alternative rides none of the banned trips, so it
-        differs from every earlier one, which rode its own first ride
-        trip, and the closing walk rides nothing.
+        Each is the earliest arrival whose walk fits ``req.max_walk_km``
+        (:meth:`_solve_within`).  Each round bans the first ride trip of
+        the previous result and re-solves, seeded with the previous
+        solve's scan; a walk-only itinerary closes the list as the final
+        fallback.  At most ``req.num_itineraries`` results.  No result
+        repeats an earlier one: each later alternative rides none of the
+        banned trips, so it differs from every earlier one, which rode
+        its own first ride trip, and the closing walk rides nothing.
         """
         links = self._request_links(req)
-        it, scan = self._first_solve(req, links)
+        it, scan = self._first_solve(req, links, True)
         banned: set[int] = set()
         count = 0
         while rides := it.ride_legs:
@@ -978,27 +1226,34 @@ class Planner:
             if count == req.num_itineraries:
                 return
             banned.add(self._trip_index[rides[0].trip_id])
-            it, scan = self._solve(req, banned, links, scan)
+            it, scan = self._solve_within(req, banned, links, scan)
         yield self._walk_only(req)
 
     def _first_solve(
-        self, req: PlanRequest, links: _RequestLinks | None
+        self, req: PlanRequest, links: _RequestLinks | None, within: bool
     ) -> tuple[Itinerary, _Scan | None]:
-        """The request's solve with no trip banned, and its scan.
+        """The request's solve with no trip banned, and its scan:
+        :meth:`_solve_within` when ``within``, else :meth:`_solve`.
 
         A mode's trips are a subset of TRANSIT's, so the solve is seeded
-        with the request's first TRANSIT scan, read for the mode's trips,
-        when the planner holds it; a TRANSIT scan is kept for the other
-        modes.  ``links`` are the request's, just looked up.
+        with the request's first TRANSIT scan of the same kind and walk
+        budget, read for the mode's trips, when the planner holds it; a
+        TRANSIT scan is kept for the other modes.  ``links`` are the
+        request's, just looked up.
         """
-        transit = self._last_links[2]
+        scans = self._last_links[2]
+        kind = req.max_walk_km if within else None
+        transit = scans.get(kind)
         if transit is not None and req.mode is not PlanMode.TRANSIT:
             pool = req.mode is PlanMode.POOL_ONLY
             flags = self._pool_flags
             c_trip = self._c_trip
             live = [ci for ci in transit.live if flags[c_trip[ci]] == pool]
             transit = _Scan(live, transit.stop)
-        it, scan = self._solve(req, (), links, transit)
+        if within:
+            it, scan = self._solve_within(req, (), links, transit)
+        else:
+            it, scan = self._solve(req, links, transit)
         if req.mode is PlanMode.TRANSIT:
-            self._last_links[2] = scan
+            scans[kind] = scan
         return it, scan

@@ -50,10 +50,12 @@ class SystemVariant(str, Enum):
 # How each variant combines the per-mode outcomes; ties go to the
 # earlier arm.  A comparison solves each mode once for all variants, so
 # INTEGRATED's restricted arms cost no extra solve.  INTEGRATED still
-# needs them: the alternatives search diversifies by banning first ride
-# trips, which can hide a feasible pure-transit journey behind
-# pool-polluted prefixes, and the integrated system must never serve
-# fewer riders than the split one.
+# needs them: the planner searches within the walk budget, but not
+# within the wait budget.  A TRANSIT journey that waits too long is
+# passed over by banning its first ride trip, which can hide a feasible
+# pure-transit or pure-pool journey behind pool-polluted prefixes, and
+# the integrated system must never serve fewer riders than the split
+# one.
 _VARIANT_ARMS: dict[SystemVariant, tuple[PlanMode, ...]] = {
     SystemVariant.NO_CARPOOLING: (PlanMode.TRANSIT_NO_POOL,),
     SystemVariant.CURRENT: (PlanMode.TRANSIT_NO_POOL, PlanMode.POOL_ONLY),

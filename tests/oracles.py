@@ -292,6 +292,129 @@ class OracleRouter:
 
 
 
+def dense_endpoint_walks(
+    planner: Planner, point: GeoPoint
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk seconds and road km from a request endpoint to every stop of
+    ``planner``, infinity beyond its cap.
+
+    The dense computation the package had before it prefiltered the
+    stops by chord: one haversine over all stops.  It gives the
+    planner's numbers bit for bit, so a walk budget set to a journey's
+    walk km cuts the same way in both.
+    """
+    hav = haversine_km_to_point(planner._lat_r, planner._lon_r, point)
+    road = planner.model.circuity * hav
+    secs = np.maximum(0.0, np.ceil(road * 3600.0 / planner.model.walk_speed_kmh - 1e-9))
+    out_of_range = road > planner.max_walk_km
+    secs[out_of_range] = math.inf
+    road = road.copy()
+    road[out_of_range] = math.inf
+    return secs, road
+
+
+class WalkBudgetOracle:
+    """Earliest arrival within a walk budget, by brute force over the
+    materialised event graph.
+
+    The events are those of :class:`OracleRouter`, and so are the edges:
+    stay on the vehicle, change at a stop after the buffer, walk a
+    footpath link to a later departure.  Each edge carries the road km
+    it walks.  A query finds the least walk with which each event can be
+    reached, by relaxing edges until nothing changes, summing each
+    path's km from the origin on, as the itinerary does.  An arrival
+    counts when its walk plus its egress walk fits the budget.  The
+    access and egress walks are :func:`dense_endpoint_walks` of a
+    planner built on the same feed.
+    """
+
+    def __init__(
+        self,
+        planner: Planner,
+        footpath_links: list[tuple[str, str, int, float]],
+    ):
+        t = planner.timetable
+        self.planner = planner
+        self.model = planner.model
+        index = {sid: i for i, sid in enumerate(planner._stop_ids)}
+        # Departure and arrival events: (trip, position, stop index, time).
+        self.deps: list[tuple[str, int, int, int]] = []
+        self.arrs: list[tuple[str, int, int, int]] = []
+        for trip_id in sorted(t.stoptimes):
+            sts = t.stoptimes[trip_id]
+            if len(sts) < 2:
+                continue
+            for i, st in enumerate(sts):
+                if i < len(sts) - 1:
+                    self.deps.append((trip_id, i, index[st.stop_id], st.departure))
+                if i > 0:
+                    self.arrs.append((trip_id, i, index[st.stop_id], st.arrival))
+        arr_of = {(trip, i): j for j, (trip, i, _, _) in enumerate(self.arrs)}
+        self.hop = [arr_of[(trip, i + 1)] for trip, i, _, _ in self.deps]
+        dep_of = {(trip, i): k for k, (trip, i, _, _) in enumerate(self.deps)}
+        deps_at: dict[int, list[int]] = {}
+        for k, (_, _, stop, _) in enumerate(self.deps):
+            deps_at.setdefault(stop, []).append(k)
+        # Per stop, (target, seconds, km) of each link from it; a change
+        # at the stop itself is a link of 0 km that takes the buffer.
+        walks: dict[int, list[tuple[int, int, float]]] = {
+            i: [(i, planner.transfer_s, 0.0)] for i in range(len(index))
+        }
+        for a, b, secs, km in footpath_links:
+            walks[index[a]].append((index[b], int(secs), float(km)))
+        # edges[j]: (departure event, km walked) usable after arrival j.
+        self.edges: list[list[tuple[int, float]]] = []
+        for trip, i, stop, at in self.arrs:
+            out = [(dep_of[(trip, i)], 0.0)] if (trip, i) in dep_of else []
+            for target, secs, km in walks[stop]:
+                out.extend((k, km) for k in deps_at.get(target, ()) if self.deps[k][3] >= at + secs)
+            self.edges.append(out)
+
+    def earliest_arrival(
+        self,
+        origin: GeoPoint,
+        destination: GeoPoint,
+        departure: int,
+        budget: float,
+        allowed=None,
+        banned: frozenset[str] = frozenset(),
+    ) -> int | None:
+        """The earliest arrival, by a journey riding only usable trips
+        whose walk fits ``budget``, that beats the direct walk; None
+        when no journey does."""
+
+        def usable(trip_id: str) -> bool:
+            return trip_id not in banned and (allowed is None or allowed(trip_id))
+
+        access_s, access_km = dense_endpoint_walks(self.planner, origin)
+        egress_s, egress_km = dense_endpoint_walks(self.planner, destination)
+        dep_km = [math.inf] * len(self.deps)
+        arr_km = [math.inf] * len(self.arrs)
+        work = []
+        for k, (trip, _, stop, t) in enumerate(self.deps):
+            if usable(trip) and departure + access_s[stop] <= t:
+                dep_km[k] = float(access_km[stop])
+                work.append(k)
+        while work:
+            k = work.pop()
+            j = self.hop[k]
+            if dep_km[k] >= arr_km[j]:
+                continue
+            arr_km[j] = dep_km[k]
+            for k2, km in self.edges[j]:
+                if usable(self.deps[k2][0]) and arr_km[j] + km < dep_km[k2]:
+                    dep_km[k2] = arr_km[j] + km
+                    work.append(k2)
+
+        direct = departure + reference_walk_seconds(origin, destination, self.model)
+        found = [
+            t + int(egress_s[stop])
+            for (_, _, stop, t), km in zip(self.arrs, arr_km)
+            if km < math.inf and km + egress_km[stop] <= budget and t + egress_s[stop] < direct
+        ]
+        return min(found, default=None)
+
+
 class ReferencePlanner(Planner):
     """:class:`Planner` with the scan it had before the boarding label.
 
@@ -305,9 +428,11 @@ class ReferencePlanner(Planner):
     computed to every stop, not to the stops a ball query finds, and the
     scan relaxes every footpath link of
     an improved arrival with a numpy mask, keeps a footpath label apart
-    from the vehicle label, checks banned trips in a set and scans from
-    the request's departure to the best arrival.  Its itineraries are
-    the reference for the package's, leg for leg.
+    from the vehicle label and scans from the request's departure to the
+    best arrival.  Its :meth:`earliest_arrival` without a walk budget is
+    the reference for the package's, leg for leg; the walk-budgeted scan
+    behind ``iter_itineraries`` is checked against
+    :class:`WalkBudgetOracle` instead.
     """
 
     def __init__(
@@ -334,20 +459,7 @@ class ReferencePlanner(Planner):
         return int(fp.seconds[k]), float(fp.km[k])
 
     def _endpoint_links(self, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
-        """Walk seconds and km from a request endpoint to every stop.
-
-        The dense computation the package had before it prefiltered the
-        stops by chord: one haversine over all stops, infinity beyond the
-        cap.
-        """
-        hav = haversine_km_to_point(self._lat_r, self._lon_r, point)
-        road = self.model.circuity * hav
-        secs = np.maximum(0.0, np.ceil(road * 3600.0 / self.model.walk_speed_kmh - 1e-9))
-        out_of_range = road > self.max_walk_km
-        secs[out_of_range] = math.inf
-        road = road.copy()
-        road[out_of_range] = math.inf
-        return secs, road
+        return dense_endpoint_walks(self, point)
 
     def _request_links(self, req: PlanRequest) -> tuple[np.ndarray, ...] | None:
         """Access and egress walks of a request, shared by its alternatives.
@@ -361,7 +473,6 @@ class ReferencePlanner(Planner):
     def _solve(
         self,
         req: PlanRequest,
-        banned: frozenset[int],
         links: tuple[np.ndarray, ...] | None,
         seed=None,
     ) -> tuple[Itinerary, None]:
@@ -404,8 +515,6 @@ class ReferencePlanner(Planner):
             if t0 > best:
                 break
             ti = c_trip[ci]
-            if ti in banned:
-                continue
             if not boarded[ti]:
                 s = c_dep_s[ci]
                 if t0 >= arr_foot[s] or t0 >= arr_veh[s] + dw:
@@ -648,12 +757,14 @@ def reference_build_footpaths(
     )
 
 
-def random_feed(rng: np.random.Generator, model: TravelModel):
+def random_feed(rng: np.random.Generator, model: TravelModel, span: float = 1.0):
     """A small random timetable plus symmetric footpath links.
 
     Hop times strictly increase, so no connection has zero duration;
     zero dwells at intermediate stops are allowed and exercised.  A
-    quarter of the trips carry carpool trip ids.
+    quarter of the trips carry carpool trip ids.  The stops lie in a
+    square about 6 km wide times ``span``; a smaller span puts more of
+    them within walking range of each other.
     """
     n_stops = int(rng.integers(6, 16))
     stops = {}
@@ -663,8 +774,8 @@ def random_feed(rng: np.random.Generator, model: TravelModel):
             stop_id=sid,
             name=f"stop {i}",
             position=GeoPoint(
-                45.0 + float(rng.uniform(0.0, 0.055)),
-                -122.3 + float(rng.uniform(0.0, 0.078)),
+                45.0 + float(rng.uniform(0.0, 0.055 * span)),
+                -122.3 + float(rng.uniform(0.0, 0.078 * span)),
             ),
         )
     stop_ids = sorted(stops)
@@ -740,14 +851,15 @@ def random_feed(rng: np.random.Generator, model: TravelModel):
     return t, links
 
 
-def random_endpoints(rng: np.random.Generator):
+def random_endpoints(rng: np.random.Generator, span: float = 1.0):
+    """Endpoints and a departure for a query on ``random_feed(..., span)``."""
     origin = GeoPoint(
-        45.0 + float(rng.uniform(-0.005, 0.06)),
-        -122.3 + float(rng.uniform(-0.005, 0.083)),
+        45.0 + float(rng.uniform(-0.005 * span, 0.06 * span)),
+        -122.3 + float(rng.uniform(-0.005 * span, 0.083 * span)),
     )
     destination = GeoPoint(
-        45.0 + float(rng.uniform(-0.005, 0.06)),
-        -122.3 + float(rng.uniform(-0.005, 0.083)),
+        45.0 + float(rng.uniform(-0.005 * span, 0.06 * span)),
+        -122.3 + float(rng.uniform(-0.005 * span, 0.083 * span)),
     )
     departure = int(rng.integers(8 * 3600, int(10.5 * 3600)))
     return origin, destination, departure

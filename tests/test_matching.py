@@ -18,7 +18,7 @@ from poollines.matching import (
     max_onboard,
     resolve_rider,
 )
-from poollines.planner import Itinerary, Leg, Planner
+from poollines.planner import Itinerary, Leg, Planner, PlanRequest
 
 from test_drivers import _driver, _points
 from test_planner import P, R, make_timetable
@@ -179,6 +179,46 @@ def test_rider_takes_first_feasible_alternative():
     assert out.mode is RiderMode.TRANSIT
     assert [leg.trip_id for leg in out.itinerary.ride_legs] == ["SLOW"]
     assert out.drivers_used == frozenset()
+
+
+class _CountingPlanner(Planner):
+    """Counts its walk-budgeted solves and the itineraries it yields."""
+
+    solves = 0
+    yields = 0
+
+    def _solve_within(self, *args):
+        self.solves += 1
+        return super()._solve_within(*args)
+
+    def iter_itineraries(self, req):
+        for it in super().iter_itineraries(req):
+            self.yields += 1
+            yield it
+
+
+def test_rider_takes_the_earliest_journey_within_the_walk_budget_in_one_scan():
+    # FAST arrives first, but walks 1.64 km from P to A and 1.02 km from
+    # Z to R, 2.66 km in all, over the 2.5 km budget.  SLOW calls at P
+    # and R and walks nothing.  The search itself passes over FAST: one
+    # scan, one itinerary.
+    a, z = GeoPoint(45.0, -122.284), GeoPoint(45.0, -122.25)
+    t = make_timetable(
+        {"P": P, "A": a, "Z": z, "R": R},
+        {
+            "FAST": [("A", 2200, 2200), ("Z", 2500, 2500)],
+            "SLOW": [("P", 2500, 2500), ("R", 3500, 3500)],
+        },
+    )
+    planner = _CountingPlanner(t, MODEL)
+    fast = planner.earliest_arrival(PlanRequest(P, R, 1000))
+    assert [leg.trip_id for leg in fast.ride_legs] == ["FAST"]
+    assert fast.total_walk_km > RULES.max_walk_km
+    out = resolve_rider(planner, _rider(), RULES)
+    assert out.mode is RiderMode.TRANSIT
+    assert [leg.trip_id for leg in out.itinerary.ride_legs] == ["SLOW"]
+    assert out.itinerary.arrive == 3500
+    assert (planner.solves, planner.yields) == (1, 1)
 
 
 def test_rider_unserved_when_nothing_feasible():

@@ -1,5 +1,7 @@
+import math
 import signal
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from poollines.planner import (
 from oracles import (
     OracleRouter,
     ReferencePlanner,
+    WalkBudgetOracle,
     arriving_to_departing,
     footpath_links,
     footpaths_from_links,
@@ -155,7 +158,8 @@ def test_footpath_to_a_stop_left_before_the_arrival_is_not_ridden():
             "Q", "Q0", 1000, 1000
         )
         reference = ReferencePlanner(t, MODEL, transfer_s=transfer_s)
-        assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
+        assert it == reference.earliest_arrival(req)
+        assert next(planner.iter_itineraries(req)) == it
 
 
 def test_a_trip_back_at_its_boarding_stop_is_no_change_onto_itself():
@@ -212,7 +216,8 @@ def test_equal_footpath_arrivals_keep_the_first_source():
     assert _ride_trips(it) == ["TA", "TC"]
     assert [(l.from_stop, l.to_stop) for l in it.legs if l.kind == "walk"][1] == ("A1", "Q")
     reference = ReferencePlanner(t, MODEL)
-    assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
+    assert it == reference.earliest_arrival(req)
+    assert next(planner.iter_itineraries(req)) == it
 
 
 def test_egress_tie_at_the_end_of_the_scan_window_goes_to_the_shorter_walk():
@@ -237,7 +242,8 @@ def test_egress_tie_at_the_end_of_the_scan_window_goes_to_the_shorter_walk():
     assert it.arrive == best
     assert _ride_trips(it) == ["TY"]
     reference = ReferencePlanner(t, MODEL)
-    assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
+    assert it == reference.earliest_arrival(req)
+    assert next(planner.iter_itineraries(req)) == it
 
 
 def test_footpath_label_on_the_scan_limit_is_boarded():
@@ -266,7 +272,8 @@ def test_footpath_label_on_the_scan_limit_is_boarded():
     assert it.arrive == best
     assert _ride_trips(it) == ["TW", "TY"]
     reference = ReferencePlanner(t, MODEL)
-    assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
+    assert it == reference.earliest_arrival(req)
+    assert next(planner.iter_itineraries(req)) == it
 
 
 def test_custom_transfer_buffer_is_honoured():
@@ -358,7 +365,8 @@ def test_each_mode_walks_to_the_stops_its_own_vehicles_leave():
         it = planner.earliest_arrival(req)
         assert (it.arrive, _ride_trips(it)[-1]) == (arrive, last_trip)
         assert len(it.ride_legs) == 2
-        assert list(planner.iter_itineraries(req)) == list(reference.iter_itineraries(req))
+        assert it == reference.earliest_arrival(req)
+        assert next(planner.iter_itineraries(req)) == it
 
 
 def _mode_fixture():
@@ -389,6 +397,64 @@ def test_modes_select_vehicle_classes():
     assert _ride_trips(pool) == ["11622387001"]
 
 
+# ---- walk budget ----------------------------------------------------
+
+
+def test_a_later_label_that_walks_less_is_kept_beside_the_earliest():
+    # S is a 1.64 km walk from P, Z a 1.02 km walk from R, and RR stands
+    # at R, so the shortest egress walk is 0 km.  Walking to S reaches
+    # it at 2178; riding T1 from P reaches it at 2300, walking nothing.
+    # T2 leaves S at 2400 for Z: boarded after the walk, the journey
+    # walks 2.66 km, over the budget; after T1, 1.02 km.  S keeps both
+    # labels, the earlier and the one that walks less.
+    s, z = GeoPoint(45.0, -122.284), GeoPoint(45.0, -122.25)
+    t = make_timetable(
+        {"P": P, "S": s, "Z": z, "RR": R},
+        {
+            "T1": [("P", 1100, 1100), ("S", 2300, 2300)],
+            "T2": [("S", 2400, 2400), ("Z", 2700, 2700)],
+        },
+    )
+    planner = Planner(t, MODEL)
+    fastest = planner.earliest_arrival(PlanRequest(P, R, 1000))
+    assert _ride_trips(fastest) == ["T2"]
+    assert fastest.total_walk_km > 2.5
+    req = PlanRequest(P, R, 1000, max_walk_km=2.5)
+    plans = list(planner.iter_itineraries(req))
+    assert [_ride_trips(it) for it in plans] == [["T1", "T2"], []]
+    assert plans[0].arrive == 2700 + walk_seconds(z, R, MODEL)
+    assert plans[0].total_walk_km == pytest.approx(road_km(z, R, MODEL))
+    assert planner.earliest_arrival(req) == plans[0]
+    _assert_alternatives_equal_the_oracle(planner, WalkBudgetOracle(planner, []), req, None)
+
+
+def test_a_journey_walking_exactly_the_budget_fits_it():
+    # The rider walks 0.29 km to P, rides T1 to Q, walks the 0.20 km
+    # footpath to Q2, rides T2 to R and walks 0.29 km on; R is the only
+    # stop within reach of the destination.  A budget of exactly that
+    # walk, summed in leg order, keeps every label of the journey, and
+    # one a float below it keeps none.
+    origin, destination = GeoPoint(45.002, -122.30), GeoPoint(45.002, -122.24)
+    t = make_timetable(
+        {"P": P, "Q": Q, "Q2": Q2, "R": R},
+        {
+            "T1": [("P", 1300, 1300), ("Q", 1600, 1600)],
+            "T2": [("Q2", 1900, 1900), ("R", 2500, 2500)],
+        },
+    )
+    planner = Planner(t, MODEL)
+    it = planner.earliest_arrival(PlanRequest(origin, destination, 1000))
+    assert _ride_trips(it) == ["T1", "T2"]
+    assert [l.to_stop for l in it.legs if l.kind == "walk"] == ["P", "Q2", None]
+    budget = it.total_walk_km
+    links = footpath_links(planner.footpaths)
+    for within, want in ((budget, [["T1", "T2"], []]), (math.nextafter(budget, 0.0), [[]])):
+        req = PlanRequest(origin, destination, 1000, max_walk_km=within)
+        assert [_ride_trips(x) for x in planner.iter_itineraries(req)] == want
+        _assert_alternatives_equal_the_oracle(planner, WalkBudgetOracle(planner, links), req, None)
+    assert next(planner.iter_itineraries(PlanRequest(origin, destination, 1000, max_walk_km=budget))) == it
+
+
 # ---- alternatives ---------------------------------------------------
 
 
@@ -400,9 +466,22 @@ def test_alternatives_ban_the_first_trip():
             "SLOW": [("P", 5200, 5200), ("R", 6000, 6000)],
         },
     )
-    plans = list(Planner(t, MODEL).iter_itineraries(PlanRequest(P, R, 5000)))
-    assert [_ride_trips(it) for it in plans] == [["FAST"], ["SLOW"], []]
-    assert [it.arrive for it in plans] == sorted(it.arrive for it in plans)
+    planner = Planner(t, MODEL)
+    oracle = WalkBudgetOracle(planner, [])
+    # Both trips call at the endpoints themselves, so they walk 0 km and
+    # fit a budget of 0.
+    for budget in (math.inf, 0.0):
+        plans = list(planner.iter_itineraries(PlanRequest(P, R, 5000, max_walk_km=budget)))
+        assert [_ride_trips(it) for it in plans] == [["FAST"], ["SLOW"], []]
+        assert [it.arrive for it in plans] == sorted(it.arrive for it in plans)
+        # Each alternative is the oracle's earliest arrival without the
+        # trips banned before it, and the closing walk comes when the
+        # oracle finds none.
+        banned: set[str] = set()
+        for it in plans:
+            want = oracle.earliest_arrival(P, R, 5000, budget, banned=frozenset(banned))
+            assert it.arrive == want if it.ride_legs else want is None
+            banned.update(_ride_trips(it)[:1])
 
 
 def test_single_useful_trip_gives_two_itineraries():
@@ -847,27 +926,95 @@ def test_planner_holds_its_links_only_in_the_fan_tables():
     assert planner._mode_conns[PlanMode.TRANSIT][1] is planner._c_dep_t
 
 
+def _assert_alternatives_equal_the_oracle(planner, oracle, req, allowed) -> None:
+    """Each alternative is the oracle's earliest arrival within the
+    request's walk budget, without the trips banned before it, and walks
+    within that budget; the closing walk comes exactly when the oracle
+    finds no such journey."""
+    banned: set[str] = set()
+    plans = list(planner.iter_itineraries(req))
+    for it in plans:
+        want = oracle.earliest_arrival(
+            req.origin, req.destination, req.departure, req.max_walk_km, allowed, frozenset(banned)
+        )
+        if not it.ride_legs:
+            assert want is None
+            break
+        assert it.arrive == want
+        assert it.total_walk_km <= req.max_walk_km
+        banned.add(it.ride_legs[0].trip_id)
+    else:
+        assert len(plans) == req.num_itineraries
+
+
 @settings(deadline=None, max_examples=60)
 @given(feed_seed=st.integers(0, 2**32 - 1), query_seed=st.integers(0, 2**32 - 1))
 def test_every_mode_and_alternative_equals_the_oracle(feed_seed, query_seed):
+    """Without a walk budget, the first solve is the event-graph oracle's
+    earliest arrival, and so is every alternative once the trips banned
+    before it are gone."""
     t, links = random_feed(np.random.default_rng(feed_seed), MODEL)
     planner = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
     oracle = OracleRouter(t, MODEL, [(a, b, s) for a, b, s, _ in links])
+    budgeted = WalkBudgetOracle(planner, links)
     org, dst, dep = random_endpoints(np.random.default_rng(query_seed))
     for mode, allowed in _MODE_TRIPS:
         req = PlanRequest(org, dst, dep, mode=mode)
         assert planner.earliest_arrival(req).arrive == oracle.earliest_arrival(
             org, dst, dep, allowed=allowed
         )
-        # Each alternative is the earliest arrival without the trips banned so far.
-        banned: set[str] = set()
-        for it in planner.iter_itineraries(req):
-            if not it.ride_legs:
-                break
-            assert it.arrive == oracle.earliest_arrival(
-                org, dst, dep, allowed=allowed, banned=frozenset(banned)
-            )
-            banned.add(it.ride_legs[0].trip_id)
+        _assert_alternatives_equal_the_oracle(planner, budgeted, req, allowed)
+
+
+def _walk_budgets(planner: Planner, org: GeoPoint, dst: GeoPoint, dep: int, picks) -> list[float]:
+    """Budgets near the walk km of the request's journeys without one.
+
+    Each pick is (journey, nudge): the walk km of that journey of any
+    mode, modulo their number, taken as it is (0), one float below it
+    (-1) or above it (1), or scaled by 0.9 (2).
+    """
+    walks = sorted(
+        {
+            it.total_walk_km
+            for mode in PlanMode
+            for it in planner.iter_itineraries(PlanRequest(org, dst, dep, mode=mode))
+        }
+    )
+    budgets = []
+    for k, nudge in picks:
+        w = walks[k % len(walks)]
+        budgets.append(
+            w if nudge == 0 else w * 0.9 if nudge == 2 else max(0.0, math.nextafter(w, nudge * math.inf))
+        )
+    return budgets
+
+
+_BUDGET_PICKS = st.lists(
+    st.tuples(st.integers(0, 50), st.sampled_from([0, -1, 1, 2])), min_size=1, max_size=3
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    feed_seed=st.integers(0, 2**32 - 1),
+    query_seed=st.integers(0, 2**32 - 1),
+    picks=_BUDGET_PICKS,
+)
+def test_every_mode_and_alternative_within_a_walk_budget_equals_the_oracle(
+    feed_seed, query_seed, picks
+):
+    """With walk budgets on and next to the walks of the journeys found
+    without one, every mode's alternatives are the brute-force oracle's,
+    bit for bit at the budget: a journey whose walk equals the budget
+    fits it, one a float over does not."""
+    t, links = random_feed(np.random.default_rng(feed_seed), MODEL)
+    planner = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
+    oracle = WalkBudgetOracle(planner, links)
+    org, dst, dep = random_endpoints(np.random.default_rng(query_seed))
+    for budget in _walk_budgets(planner, org, dst, dep, picks):
+        for mode, allowed in _MODE_TRIPS:
+            req = PlanRequest(org, dst, dep, mode=mode, max_walk_km=budget)
+            _assert_alternatives_equal_the_oracle(planner, oracle, req, allowed)
 
 
 def _near_stop(rng: np.random.Generator, t: Timetable) -> GeoPoint:
@@ -924,27 +1071,36 @@ def _leg_bits(plans: list[Itinerary]) -> list[tuple]:
     drivers=st.integers(0, 16),
     query_seed=st.integers(0, 2**32 - 1),
     transfer_s=st.sampled_from([0, 60]),
+    picks=_BUDGET_PICKS,
 )
 def test_every_mode_and_alternative_equals_the_reference_scan_leg_for_leg(
-    feed_seed, drivers, query_seed, transfer_s
+    feed_seed, drivers, query_seed, transfer_s, picks
 ):
     """The reference scan relaxes every link from a stop a vehicle
     arrives at to one a vehicle leaves; the planner keeps only the links
-    some arrival can use.  Dropping the others changes no itinerary."""
+    some arrival can use.  Dropping the others changes no itinerary of
+    the single-criterion scan, leg for leg, and no arrival of the
+    walk-budgeted alternatives, which equal the oracle's over every
+    link."""
     t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
     assert all(origin_stop_id(100 + k) in t.stops for k in range(drivers))
     planner = Planner(t, MODEL, transfer_s=transfer_s)
     unfiltered = arriving_to_departing(t, reference_build_footpaths(t, MODEL))
     reference = ReferencePlanner(t, MODEL, transfer_s=transfer_s, footpaths=unfiltered)
+    oracle = WalkBudgetOracle(planner, footpath_links(unfiltered))
     assert set(footpath_links(planner.footpaths)) <= set(footpath_links(unfiltered))
     rng = np.random.default_rng(query_seed)
     for _ in range(3):
         org, dst = _near_stop(rng, t), _near_stop(rng, t)
         dep = _near_arrival(rng, t, -1200, 0)
-        for mode in PlanMode:
+        budgets = [math.inf, 2.5, *_walk_budgets(planner, org, dst, dep, picks)]
+        for mode, allowed in _MODE_TRIPS:
             req = PlanRequest(org, dst, dep, mode=mode)
-            got = list(planner.iter_itineraries(req))
-            assert _leg_bits(got) == _leg_bits(list(reference.iter_itineraries(req)))
+            got = planner.earliest_arrival(req)
+            assert _leg_bits([got]) == _leg_bits([reference.earliest_arrival(req)])
+            for budget in budgets:
+                req = PlanRequest(org, dst, dep, mode=mode, max_walk_km=budget)
+                _assert_alternatives_equal_the_oracle(planner, oracle, req, allowed)
 
 
 @settings(deadline=None, max_examples=60)
@@ -1069,49 +1225,99 @@ def _is_subsequence(part: list[int], whole: list[int]) -> bool:
     return all(x in rest for x in part)
 
 
+def _mode_seed(planner: Planner, transit: _Scan, allowed) -> _Scan:
+    """A TRANSIT scan read for the trips of a mode."""
+    return _Scan(
+        [
+            ci for ci in transit.live
+            if allowed is None or allowed(planner._trip_ids[planner._c_trip[ci]])
+        ],
+        transit.stop,
+    )
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     feed_seed=st.integers(0, 2**32 - 1),
     drivers=st.integers(0, 16),
     query_seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([math.inf, 2.5, 1.5, 0.8]),
 )
 def test_a_restricted_scan_boards_a_subsequence_of_its_seeds_connections(
-    feed_seed, drivers, query_seed
+    feed_seed, drivers, query_seed, budget
 ):
-    """Solved without a seed, each alternative boards, up to where the
-    solve before it stopped, only connections that solve boarded, in
-    order, and stops no earlier; so does each mode's first solve against
-    the first TRANSIT solve, read for the mode's trips.  Seeded with
-    that record, a solve gives the same itinerary and record."""
+    """Solved without a seed, each mode's first solve boards, up to where
+    the first TRANSIT solve stopped, only connections that solve boarded,
+    in order, and stops no earlier; so does each walk-budgeted
+    alternative against the solve before it.  Seeded with that record, a
+    solve gives the same itinerary and record."""
     t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
     planner = Planner(t, MODEL)
-    c_trip, dep_t = planner._c_trip, planner._c_dep_t
+    dep_t = planner._c_dep_t
     rng = np.random.default_rng(query_seed)
+
+    def check(solve, seed: _Scan) -> tuple[Itinerary, _Scan]:
+        it, scan = solve(None)
+        assert scan.stop >= seed.stop
+        early = [ci for ci in scan.live if dep_t[ci] <= seed.stop]
+        assert _is_subsequence(early, seed.live)
+        assert solve(seed) == (it, scan)
+        return it, scan
+
     for _ in range(3):
         org, dst = _near_stop(rng, t), _near_stop(rng, t)
-        req = PlanRequest(org, dst, _near_arrival(rng, t, -1200, 0))
+        req = PlanRequest(org, dst, _near_arrival(rng, t, -1200, 0), max_walk_km=budget)
         links = planner._request_links(req)
         if links is None:
             continue
-        _, transit = planner._solve(req, (), links)
+        _, transit = planner._solve(req, links)
+        _, transit_within = planner._solve_within(req, (), links)
         for mode, allowed in _MODE_TRIPS:
-            req = PlanRequest(org, dst, req.departure, mode=mode)
-            usable = [
-                ci for ci in transit.live
-                if allowed is None or allowed(planner._trip_ids[c_trip[ci]])
-            ]
-            seed = _Scan(usable, transit.stop)
+            req = PlanRequest(org, dst, req.departure, mode=mode, max_walk_km=budget)
+            check(lambda seed: planner._solve(req, links, seed), _mode_seed(planner, transit, allowed))
+            seed = _mode_seed(planner, transit_within, allowed)
             banned: list[int] = []
             while len(banned) < 10:
-                it, scan = planner._solve(req, banned, links)
-                assert scan.stop >= seed.stop
-                early = [ci for ci in scan.live if dep_t[ci] <= seed.stop]
-                assert _is_subsequence(early, seed.live)
-                assert planner._solve(req, banned, links, seed) == (it, scan)
+                it, seed = check(lambda seed: planner._solve_within(req, banned, links, seed), seed)
                 if not it.ride_legs:
                     break
                 banned.append(planner._trip_index[it.ride_legs[0].trip_id])
-                seed = scan
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    feed_seed=st.integers(0, 2**32 - 1),
+    drivers=st.integers(0, 16),
+    query_seed=st.integers(0, 2**32 - 1),
+    picks=_BUDGET_PICKS,
+)
+def test_a_seeded_walk_budgeted_solve_equals_an_unseeded_one_leg_for_leg(
+    feed_seed, drivers, query_seed, picks
+):
+    """A planner that seeds each restricted mode with the request's
+    TRANSIT scan and each alternative with the one before gives every
+    alternative, leg for leg, as solves that scan their whole window."""
+    t = _feed_with_drivers(np.random.default_rng(feed_seed), drivers)
+    planner = Planner(t, MODEL)
+    rng = np.random.default_rng(query_seed)
+    for _ in range(3):
+        org, dst = _near_stop(rng, t), _near_stop(rng, t)
+        dep = _near_arrival(rng, t, -1200, 0)
+        for budget in _walk_budgets(planner, org, dst, dep, picks):
+            for mode in PlanMode:
+                req = PlanRequest(org, dst, dep, mode=mode, max_walk_km=budget)
+                seeded = list(planner.iter_itineraries(req))
+                links = planner._request_links(req)
+                # A solve that rides nothing returns the direct walk, the
+                # itinerary that closes the list.
+                unseeded, banned = [], []
+                while len(unseeded) < req.num_itineraries:
+                    it = planner._solve_within(req, banned, links)[0]
+                    unseeded.append(it)
+                    if not it.ride_legs:
+                        break
+                    banned.append(planner._trip_index[it.ride_legs[0].trip_id])
+                assert _leg_bits(seeded) == _leg_bits(unseeded)
 
 
 def test_interleaved_requests_equal_a_fresh_planner_each():
@@ -1141,14 +1347,18 @@ def test_interleaved_requests_equal_a_fresh_planner_each():
             ("B from A", PlanMode.TRANSIT), ("B from A", PlanMode.POOL_ONLY),
         ]
         shared = Planner(t, MODEL)
-        for name, mode in turns:
-            req = PlanRequest(*riders[name], mode=mode)
+        # Each turn under several walk budgets, so a restricted mode also
+        # follows a TRANSIT solve of the same request under another one.
+        for (name, mode), budget in product(turns, (2.5, math.inf, 0.6)):
+            req = PlanRequest(*riders[name], mode=mode, max_walk_km=budget)
             fresh = Planner(t, MODEL)
             plans = list(shared.iter_itineraries(req))
-            assert _leg_bits(plans) == _leg_bits(list(fresh.iter_itineraries(req))), (feed_seed, name, mode)
+            assert _leg_bits(plans) == _leg_bits(list(fresh.iter_itineraries(req))), (
+                feed_seed, name, mode, budget
+            )
             assert _leg_bits([shared.earliest_arrival(req)]) == _leg_bits([fresh.earliest_arrival(req)])
             rides += bool(plans[0].ride_legs)
-    assert rides >= 20
+    assert rides >= 60
 
 
 def _along_a_trip(rng: np.random.Generator, t: Timetable) -> tuple[GeoPoint, GeoPoint, int]:
@@ -1290,3 +1500,6 @@ def test_request_validation():
         PlanRequest(P, R, -1)
     with pytest.raises(ValueError):
         PlanRequest(P, R, 0, num_itineraries=0)
+    for bad in (-0.1, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            PlanRequest(P, R, 0, max_walk_km=bad)
