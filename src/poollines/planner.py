@@ -1003,7 +1003,8 @@ class Planner:
                 prov[v] = p
 
         # Two vehicle arrivals of each stop, the earliest and the least
-        # walked; an arrival either dominates labels nothing new.
+        # walked.  An arrival one of them dominates would add only labels
+        # that are dominated too, so it is skipped.
         veh_t = [_INF] * n
         veh_t_km = [_INF] * n
         veh_km = [_INF] * n

@@ -757,14 +757,12 @@ def reference_build_footpaths(
     )
 
 
-def random_feed(rng: np.random.Generator, model: TravelModel, span: float = 1.0):
+def random_feed(rng: np.random.Generator, model: TravelModel):
     """A small random timetable plus symmetric footpath links.
 
     Hop times strictly increase, so no connection has zero duration;
     zero dwells at intermediate stops are allowed and exercised.  A
-    quarter of the trips carry carpool trip ids.  The stops lie in a
-    square about 6 km wide times ``span``; a smaller span puts more of
-    them within walking range of each other.
+    quarter of the trips carry carpool trip ids.
     """
     n_stops = int(rng.integers(6, 16))
     stops = {}
@@ -774,8 +772,8 @@ def random_feed(rng: np.random.Generator, model: TravelModel, span: float = 1.0)
             stop_id=sid,
             name=f"stop {i}",
             position=GeoPoint(
-                45.0 + float(rng.uniform(0.0, 0.055 * span)),
-                -122.3 + float(rng.uniform(0.0, 0.078 * span)),
+                45.0 + float(rng.uniform(0.0, 0.055)),
+                -122.3 + float(rng.uniform(0.0, 0.078)),
             ),
         )
     stop_ids = sorted(stops)
@@ -851,15 +849,14 @@ def random_feed(rng: np.random.Generator, model: TravelModel, span: float = 1.0)
     return t, links
 
 
-def random_endpoints(rng: np.random.Generator, span: float = 1.0):
-    """Endpoints and a departure for a query on ``random_feed(..., span)``."""
+def random_endpoints(rng: np.random.Generator):
     origin = GeoPoint(
-        45.0 + float(rng.uniform(-0.005 * span, 0.06 * span)),
-        -122.3 + float(rng.uniform(-0.005 * span, 0.083 * span)),
+        45.0 + float(rng.uniform(-0.005, 0.06)),
+        -122.3 + float(rng.uniform(-0.005, 0.083)),
     )
     destination = GeoPoint(
-        45.0 + float(rng.uniform(-0.005 * span, 0.06 * span)),
-        -122.3 + float(rng.uniform(-0.005 * span, 0.083 * span)),
+        45.0 + float(rng.uniform(-0.005, 0.06)),
+        -122.3 + float(rng.uniform(-0.005, 0.083)),
     )
     departure = int(rng.integers(8 * 3600, int(10.5 * 3600)))
     return origin, destination, departure

@@ -998,19 +998,22 @@ _BUDGET_PICKS = st.lists(
 @given(
     feed_seed=st.integers(0, 2**32 - 1),
     query_seed=st.integers(0, 2**32 - 1),
+    along=st.booleans(),
     picks=_BUDGET_PICKS,
 )
 def test_every_mode_and_alternative_within_a_walk_budget_equals_the_oracle(
-    feed_seed, query_seed, picks
+    feed_seed, query_seed, along, picks
 ):
     """With walk budgets on and next to the walks of the journeys found
     without one, every mode's alternatives are the brute-force oracle's,
     bit for bit at the budget: a journey whose walk equals the budget
-    fits it, one a float over does not."""
+    fits it, one a float over does not.  The endpoints are anywhere, or
+    near the ends of a trip, which most such requests ride."""
     t, links = random_feed(np.random.default_rng(feed_seed), MODEL)
     planner = Planner(t, MODEL, footpaths=footpaths_from_links(t, links))
     oracle = WalkBudgetOracle(planner, links)
-    org, dst, dep = random_endpoints(np.random.default_rng(query_seed))
+    rng = np.random.default_rng(query_seed)
+    org, dst, dep = _along_a_trip(rng, t) if along else random_endpoints(rng)
     for budget in _walk_budgets(planner, org, dst, dep, picks):
         for mode, allowed in _MODE_TRIPS:
             req = PlanRequest(org, dst, dep, mode=mode, max_walk_km=budget)
