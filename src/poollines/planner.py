@@ -419,22 +419,23 @@ class _RequestLinks:
 
     ``access`` and ``egress`` hold only the stops within walking range
     of the origin and of the destination; both are non-empty.  The scan
-    reads dense lists, one entry per stop, filled in at those stops
-    alone: ``egress_s`` and ``egress_km`` are the egress walk (infinity
-    beyond the cap), and ``reach``, ``reach_km`` and ``foot_prev`` are
-    the initial boarding labels (the access arrivals), their walk and
-    their sources (-1 the origin, -2 none), which each solve copies.
-    ``first_board`` is the earliest access arrival, and ``min_egress``
-    and ``min_egress_km`` the shortest egress walk in seconds and in km.
+    reads three dense lists, one entry per stop, filled in at those
+    stops alone: ``egress_s`` is the egress walk (infinity beyond the
+    cap), and ``reach`` and ``foot_prev`` are the initial boarding
+    labels (the access arrivals) and their sources (-1 the origin, -2
+    none), which each solve copies.  ``access_km`` and ``egress_km``
+    map those stops to their walk's road km.  ``first_board`` is the
+    earliest access arrival, and ``min_egress`` and ``min_egress_km``
+    the shortest egress walk in seconds and in km.
     """
 
     access: _StopWalks
     egress: _StopWalks
     egress_s: list
-    egress_km: list
     reach: list
-    reach_km: list
     foot_prev: list
+    access_km: dict
+    egress_km: dict
     first_board: float
     min_egress: float
     min_egress_km: float
@@ -753,28 +754,22 @@ class Planner:
             return None
         n = len(self._stop_ids)
         egress_s = [_INF] * n
-        egress_km = [_INF] * n
-        for stop, secs, km in zip(
-            egress.stops.tolist(), egress.seconds.tolist(), egress.km.tolist()
-        ):
+        for stop, secs in zip(egress.stops.tolist(), egress.seconds.tolist()):
             egress_s[stop] = secs
-            egress_km[stop] = km
         boards = req.departure + access.seconds
         reach = [_INF] * n
-        reach_km = [_INF] * n
         foot_prev = [-2] * n
-        for stop, at, km in zip(access.stops.tolist(), boards.tolist(), access.km.tolist()):
+        for stop, at in zip(access.stops.tolist(), boards.tolist()):
             reach[stop] = at
-            reach_km[stop] = km
             foot_prev[stop] = -1
         return _RequestLinks(
             access,
             egress,
             egress_s,
-            egress_km,
             reach,
-            reach_km,
             foot_prev,
+            dict(zip(access.stops.tolist(), access.km.tolist())),
+            dict(zip(egress.stops.tolist(), egress.km.tolist())),
             first_board=float(boards.min()),
             min_egress=float(egress.seconds.min()),
             min_egress_km=float(egress.km.min()),
@@ -964,10 +959,12 @@ class Planner:
         limit = best - min_egress
 
         reach = links.reach.copy()
-        reach_km = links.reach_km.copy()
-        for s in links.access.stops.tolist():
-            if reach_km[s] + min_egress_km > budget:
-                reach[s] = reach_km[s] = _INF
+        reach_km = [_INF] * n
+        for s, km in links.access_km.items():
+            if km + min_egress_km > budget:
+                reach[s] = _INF
+            else:
+                reach_km[s] = km
         prov: list = [None] * n
         bags: list = [None] * n
 
