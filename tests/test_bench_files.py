@@ -1,7 +1,7 @@
 """The committed perf trajectory: every ``BENCH_*.json`` at the root of
-the repository, as ``tools/bench_record.py`` writes it, is strict JSON
-and holds every end-to-end metric that ``BENCHMARK.json`` declares, for
-every workload it declares."""
+the repository, as ``tools/bench_record.py`` writes it, is strict JSON,
+holds every end-to-end metric that ``BENCHMARK.json`` declares, for
+every workload it declares, and was run for the run length it fixes."""
 import json
 import math
 from pathlib import Path
@@ -22,6 +22,7 @@ def test_every_bench_file_is_strict_json_with_every_declared_metric():
         assert path.name == f"BENCH_{record['bench']}.json"
         assert {"vcpus", "python", "numpy"} <= set(record["host"])
         assert isinstance(record["seed"], int)
+        assert record["seconds"] == spec["run_seconds"], path.name
         for side in ("change", "baseline"):
             if side == "baseline" and side not in record:
                 continue

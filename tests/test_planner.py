@@ -1,6 +1,7 @@
 import math
 import signal
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -160,6 +161,7 @@ def test_footpath_to_a_stop_left_before_the_arrival_is_not_ridden():
         reference = ReferencePlanner(t, MODEL, transfer_s=transfer_s)
         assert it == reference.earliest_arrival(req)
         assert next(planner.iter_itineraries(req)) == it
+        _assert_alternatives_equal_the_oracle_under_budgets(planner, req)
 
 
 def test_a_trip_back_at_its_boarding_stop_is_no_change_onto_itself():
@@ -218,6 +220,7 @@ def test_equal_footpath_arrivals_keep_the_first_source():
     reference = ReferencePlanner(t, MODEL)
     assert it == reference.earliest_arrival(req)
     assert next(planner.iter_itineraries(req)) == it
+    _assert_alternatives_equal_the_oracle_under_budgets(planner, req)
 
 
 def test_egress_tie_at_the_end_of_the_scan_window_goes_to_the_shorter_walk():
@@ -244,6 +247,7 @@ def test_egress_tie_at_the_end_of_the_scan_window_goes_to_the_shorter_walk():
     reference = ReferencePlanner(t, MODEL)
     assert it == reference.earliest_arrival(req)
     assert next(planner.iter_itineraries(req)) == it
+    _assert_alternatives_equal_the_oracle_under_budgets(planner, req)
 
 
 def test_footpath_label_on_the_scan_limit_is_boarded():
@@ -274,6 +278,7 @@ def test_footpath_label_on_the_scan_limit_is_boarded():
     reference = ReferencePlanner(t, MODEL)
     assert it == reference.earliest_arrival(req)
     assert next(planner.iter_itineraries(req)) == it
+    _assert_alternatives_equal_the_oracle_under_budgets(planner, req)
 
 
 def test_custom_transfer_buffer_is_honoured():
@@ -367,6 +372,7 @@ def test_each_mode_walks_to_the_stops_its_own_vehicles_leave():
         assert len(it.ride_legs) == 2
         assert it == reference.earliest_arrival(req)
         assert next(planner.iter_itineraries(req)) == it
+        _assert_alternatives_equal_the_oracle_under_budgets(planner, req, dict(_MODE_TRIPS)[mode])
 
 
 def _mode_fixture():
@@ -945,6 +951,20 @@ def _assert_alternatives_equal_the_oracle(planner, oracle, req, allowed) -> None
         banned.add(it.ride_legs[0].trip_id)
     else:
         assert len(plans) == req.num_itineraries
+
+
+def _assert_alternatives_equal_the_oracle_under_budgets(
+    planner: Planner, req: PlanRequest, allowed=None
+) -> None:
+    """The alternatives equal the oracle's over every link from a stop a
+    vehicle arrives at to one a vehicle leaves, with no walk budget, with
+    the walk of the first journey without one, and with half of it."""
+    t = planner.timetable
+    links = footpath_links(arriving_to_departing(t, reference_build_footpaths(t, MODEL)))
+    oracle = WalkBudgetOracle(planner, links)
+    walk = planner.earliest_arrival(req).total_walk_km
+    for budget in (math.inf, walk, walk / 2):
+        _assert_alternatives_equal_the_oracle(planner, oracle, replace(req, max_walk_km=budget), allowed)
 
 
 @settings(deadline=None, max_examples=60)

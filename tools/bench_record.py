@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Record perfbench results in a ``BENCH_<n>.json`` file.
 
-    python3 tools/bench_record.py --number 21 --runs 10
-    python3 tools/bench_record.py --number 21 --runs 10 --workload metro_feed \\
-        --baseline ../parent-checkout
+    python3 tools/bench_record.py --number 21
+    python3 tools/bench_record.py --number 21 --workload metro_feed --baseline ../parent-checkout
 
 Runs ``perfbench/run.py --workload W`` of this checkout ``--runs`` times
 for each workload (all that ``BENCHMARK.json`` declares, or those given
 with ``--workload``), each run in its own process, and writes, per
 workload and end-to-end metric, the median and the quartiles over the
-runs, with every run's value.  With ``--baseline DIR``, the same runs
+runs, with every run's value.  Each run lasts the ``run_seconds`` that
+``BENCHMARK.json`` fixes.  With ``--baseline DIR``, the same runs
 are made with ``DIR``'s own ``perfbench/run.py`` and program, in
 alternating order (this checkout first in even pairs), so that a drift
 of the host's speed falls on both sides alike; the file then holds the
@@ -89,13 +89,11 @@ def main() -> int:
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
-    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=names)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     parser.add_argument("--baseline", type=Path, help="a checkout to run in alternation")
     parser.add_argument("--note", default="", help="free text kept in the file")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<n>.json in this checkout")
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -104,12 +102,13 @@ def main() -> int:
     if args.baseline is not None:
         sides["baseline"] = (args.baseline.resolve(), _side(args.baseline.resolve()))
     workloads = args.workload or names
+    seconds = spec["run_seconds"]
     runs: dict[str, dict[str, list]] = {side: {w: [] for w in workloads} for side in sides}
     for workload in workloads:
         for k in range(args.runs):
             order = list(sides) if k % 2 == 0 else list(reversed(sides))
             for side in order:
-                result = _run(sides[side][0], workload, args.seed, args.seconds)
+                result = _run(sides[side][0], workload, args.seed, seconds)
                 runs[side][workload].append(result)
                 value = result["metrics"].get("riders_per_s", {}).get("value")
                 print(f"{workload} {side} run {k + 1}: riders_per_s {value}", file=sys.stderr)
@@ -118,7 +117,7 @@ def main() -> int:
         "bench": args.number,
         "command": spec["command"],
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "runs": args.runs,
         "host": {
             "vcpus": os.cpu_count(),
@@ -136,7 +135,7 @@ def main() -> int:
                 w: _summary(runs[side][w], spec["end_to_end"]) for w in workloads
             },
         }
-    out = args.out or ROOT / f"BENCH_{args.number}.json"
+    out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1, allow_nan=False) + "\n", encoding="utf-8")
     print(out)
     return 0
